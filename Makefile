@@ -43,7 +43,8 @@ lint-baseline:
 	$(GO) run ./cmd/eventcap-lint -baseline lint-baseline.json -write-baseline ./...
 
 # Short-budget fuzzing of the numeric contracts: binomial sampling vs
-# CDF inversion, policy serialization round-trips, and the O(1)
+# CDF inversion, policy serialization round-trips, the PI solver's
+# closed-form recovery tail vs the stepped f-chain, and the O(1)
 # recharge closed form vs the sequential loop. Seed corpora live in
 # testdata/fuzz; CI runs this same budget per target.
 FUZZTIME ?= 10s
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSampleBinomial -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzVectorJSONRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRecoveryTail -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
 
 # -short skips the long single-threaded solver sweeps (they exercise no

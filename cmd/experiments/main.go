@@ -471,7 +471,7 @@ type manifestParams struct {
 // manifestFor assembles the JSON sidecar for one experiment's CSV. The
 // metrics block is the experiment's own share of the process counters
 // (the Snapshot diff around its Run call), carved by prefix into
-// run-level ("sim.") and process-level ("cache.", "pool.") blocks.
+// run-level ("sim.") and process-level ("cache.", "core.", "pool.") blocks.
 func manifestFor(exp experiments.Experiment, csv []byte, diff map[string]float64, digest string, p manifestParams) *obs.Manifest {
 	man := &obs.Manifest{
 		Schema:     obs.ManifestSchema,
@@ -492,7 +492,7 @@ func manifestFor(exp experiments.Experiment, csv []byte, diff map[string]float64
 		GoVersion:     obs.GoVersion(),
 		BinaryVersion: obs.BinaryVersion(),
 		Metrics:       obs.FilterPrefix(diff, "sim."),
-		Process:       obs.FilterPrefix(diff, "cache.", "pool."),
+		Process:       obs.FilterPrefix(diff, "cache.", "core.", "pool."),
 		Trace:         p.trace,
 	}
 	addProfile := func(kind, path string) {

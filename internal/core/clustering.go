@@ -7,6 +7,7 @@ import (
 
 	"eventcap/internal/dist"
 	"eventcap/internal/numeric"
+	"eventcap/internal/obs"
 )
 
 // ClusteringPolicy is the paper's heuristic partial-information policy
@@ -64,6 +65,18 @@ func (cp ClusteringPolicy) policyFn() func(i int, hazard float64) float64 {
 	return func(i int, _ float64) float64 { return cp.At(i) }
 }
 
+// alwaysOnFrom returns the first state from which the policy activates
+// with probability 1 until a capture (0 for an invalid policy).
+func (cp ClusteringPolicy) alwaysOnFrom() int {
+	if cp.Validate() != nil {
+		return 0
+	}
+	if cp.C3 == 1 { // floateq:ok region-boundary saturation: recovery starts at N3 only when C3 is the exact constant 1
+		return cp.N3
+	}
+	return cp.N3 + 1
+}
+
 // Vector materializes the policy as an activation Vector with an
 // always-on tail.
 func (cp ClusteringPolicy) Vector() Vector {
@@ -84,15 +97,25 @@ type PIEval struct {
 	EnergyRate float64
 	// ExpectedCycle is 1/y_1, the mean number of slots between captures.
 	ExpectedCycle float64
-	// Horizon is the number of f-states evaluated before the no-capture
-	// probability became negligible.
+	// Horizon is the f-state at which the evaluation stopped: where the
+	// no-capture probability became negligible, or where the always-on
+	// tail was summed in closed form.
 	Horizon int
+	// Capped reports that the chain was cut at piMaxHorizon with the
+	// no-capture probability still in [piSurvivalTol, 1e-6): the sums
+	// are truncated, not converged. (At 1e-6 or above the evaluation
+	// fails with ErrNoRenewal instead.)
+	Capped bool
 }
 
 // evaluation knobs for the f-chain sum.
 const (
 	piSurvivalTol = 1e-13
 	piMaxHorizon  = 300000
+	// tailHalvings is the number of halvings of the no-capture
+	// probability that take it below piSurvivalTol (2^-44 < 1e-13);
+	// see BeliefFilter.recoveryTail.
+	tailHalvings = 44
 )
 
 // ErrNoRenewal is returned when a partial-information policy never
@@ -109,15 +132,48 @@ var ErrNoRenewal = fmt.Errorf("core: policy never renews (no captures within hor
 // using the product-form stationary distribution y_i = y_1·S_{i−1}:
 //
 //	U = μ / Σ_i S_{i−1},   E_out = Σ_i S_{i−1}·c_i(δ1 + β̂_i δ2) / Σ_i S_{i−1}.
+//
+// It steps every state until the no-capture probability falls below
+// piSurvivalTol, so it serves any policy; the clustering and window
+// optimizers use the closed-form tail of evaluatePI instead, and this
+// step-by-step loop is its test oracle.
 func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) float64) (*PIEval, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	filter := NewBeliefFilter(d)
+	return evaluatePI(newHazardCache(d), p, pol, 0)
+}
+
+// evaluatePI is EvaluatePI on a shared hazard cache. onFrom > 0 declares
+// that pol activates with probability 1 in every state from onFrom on.
+// The chain is then stepped only up to onFrom, and the remaining states
+// are summed in closed form through the mean residual life m (Appendix
+// B's renewal route): with S the survival and b the belief at onFrom,
+//
+//	cycle += S·Σ_j b(j)m(j),   energy += S·(δ1·Σ_j b(j)m(j) + δ2),
+//
+// the δ2 term because every surviving path is captured exactly once.
+// Where the belief holds mass the closed form cannot cover (see
+// BeliefFilter.recoveryTail) the evaluation steps on as EvaluatePI does.
+// Each call counts once in core.pi.evals and once in either
+// core.pi.tail_closed or core.pi.tail_stepped; a call that reaches
+// piMaxHorizon also counts in core.pi.horizon_capped.
+func evaluatePI(hc *hazardCache, p Params, pol func(i int, hazard float64) float64, onFrom int) (*PIEval, error) {
+	filter := newBeliefFilter(hc)
 	survival := 1.0
 	var cycle, energy numeric.KahanSum
 	horizon := 0
+	closed := false
 	for i := 1; i <= piMaxHorizon; i++ {
+		if onFrom > 0 && i >= onFrom {
+			if tail, ok := filter.recoveryTail(piMaxHorizon - i + 1); ok {
+				cycle.Add(survival * tail)
+				energy.Add(survival * (p.Delta1*tail + p.Delta2))
+				survival, horizon, closed = 0, i, true
+				break
+			}
+			onFrom = 0
+		}
 		hazard := filter.EventProb()
 		c := pol(i, hazard)
 		if c < 0 {
@@ -137,6 +193,8 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 		}
 		filter.AdvanceNoCapture(c)
 	}
+	capped := survival >= piSurvivalTol
+	countEval(closed, capped)
 	if survival >= 1e-6 {
 		return nil, ErrNoRenewal
 	}
@@ -145,11 +203,25 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 		return nil, ErrNoRenewal
 	}
 	return &PIEval{
-		CaptureProb:   d.Mean() / total,
+		CaptureProb:   hc.d.Mean() / total,
 		EnergyRate:    energy.Value() / total,
 		ExpectedCycle: total,
 		Horizon:       horizon,
+		Capped:        capped,
 	}, nil
+}
+
+// countEval records one f-chain evaluation in the solver work counters.
+func countEval(closed, capped bool) {
+	obs.CorePIEvals.Inc()
+	if closed {
+		obs.CorePITailClosed.Inc()
+	} else {
+		obs.CorePITailStepped.Inc()
+	}
+	if capped {
+		obs.CorePIHorizonCapped.Inc()
+	}
 }
 
 // piCursor is an incremental form of EvaluatePI used by the coarse region
@@ -159,12 +231,13 @@ func EvaluatePI(d dist.Interarrival, p Params, pol func(i int, hazard float64) f
 type piCursor struct {
 	filter        *BeliefFilter
 	p             Params
+	states        int // f-states walked
 	survival      float64
 	cycle, energy float64
 }
 
-func newPICursor(d dist.Interarrival, p Params) *piCursor {
-	return &piCursor{filter: NewBeliefFilter(d), p: p, survival: 1}
+func newPICursor(hc *hazardCache, p Params) *piCursor {
+	return &piCursor{filter: newBeliefFilter(hc), p: p, survival: 1}
 }
 
 func (c *piCursor) clone() *piCursor {
@@ -182,6 +255,7 @@ func (c *piCursor) step(prob float64) {
 	if c.done() {
 		return
 	}
+	c.states++
 	hazard := c.filter.EventProb()
 	c.cycle += c.survival
 	if prob > 0 {
@@ -193,30 +267,24 @@ func (c *piCursor) step(prob float64) {
 	}
 }
 
-// finishRecovery runs the always-on tail to exhaustion. The conditioned
-// belief converges to a quasi-stationary distribution whose hazard β* is
-// constant, so once β̂ stabilizes the remaining geometric tail is closed
-// in closed form (Σ_k S(1−β*)^k = S/β*). It reports whether the chain
-// renewed (false for defective tails, e.g. truncation artifacts).
+// finishRecovery completes the chain with the sensor always on from the
+// next state, in closed form as evaluatePI does, or step by step where
+// the belief does not allow it. It counts as one evaluation and reports
+// whether the chain renewed (false for defective tails).
 func (c *piCursor) finishRecovery() bool {
-	prev := -1.0
-	stable := 0
-	for i := 0; i < piMaxHorizon && !c.done(); i++ {
-		h := c.filter.EventProb()
-		if prev >= 0 && math.Abs(h-prev) < 1e-4*(h+1e-12) {
-			stable++
-			if stable >= 2 && h > 1e-9 {
-				c.cycle += c.survival / h
-				c.energy += c.survival * (c.p.Delta1 + c.p.Delta2*h) / h
-				c.survival = 0
-				return true
-			}
-		} else {
-			stable = 0
+	if !c.done() {
+		if tail, ok := c.filter.recoveryTail(piMaxHorizon - c.states); ok {
+			c.cycle += c.survival * tail
+			c.energy += c.survival * (c.p.Delta1*tail + c.p.Delta2)
+			c.survival = 0
+			countEval(true, false)
+			return true
 		}
-		prev = h
+	}
+	for c.states < piMaxHorizon && !c.done() {
 		c.step(1)
 	}
+	countEval(false, !c.done())
 	return c.survival < 1e-6
 }
 
@@ -328,9 +396,10 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 		}, nil
 	}
 	opts.fill(d)
+	hc := newHazardCache(d)
 
 	eval := func(cp ClusteringPolicy) (*PIEval, bool) {
-		ev, err := EvaluatePI(d, p, cp.policyFn())
+		ev, err := evaluatePI(hc, p, cp.policyFn(), cp.alwaysOnFrom())
 		if err != nil {
 			return nil, false
 		}
@@ -405,7 +474,7 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 			if n2 < n1 {
 				continue
 			}
-			cur := newPICursor(d, p)
+			cur := newPICursor(hc, p)
 			for i := 1; i <= n2; i++ {
 				c := 0.0
 				if i >= n1 {
@@ -485,8 +554,8 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 	}
 
 	// Fractional boundary refinement: spend residual budget via C1/C2/C3.
-	best.cp = refineFractional(d, e, p, best.cp)
-	ev, err := EvaluatePI(d, p, best.cp.policyFn())
+	best.cp = refineFractional(hc, e, p, best.cp)
+	ev, err := evaluatePI(hc, p, best.cp.policyFn(), best.cp.alwaysOnFrom())
 	if err != nil {
 		return nil, fmt.Errorf("evaluating refined clustering policy: %w", err)
 	}
@@ -504,9 +573,9 @@ func OptimizeClustering(d dist.Interarrival, e float64, p Params, opts Clusterin
 // bisection so E_out stays within e. Capture probability is nondecreasing
 // in every activation probability (more activation shortens renewal
 // cycles), so the largest feasible boundary value is the best one.
-func refineFractional(d dist.Interarrival, e float64, p Params, cp ClusteringPolicy) ClusteringPolicy {
+func refineFractional(hc *hazardCache, e float64, p Params, cp ClusteringPolicy) ClusteringPolicy {
 	baseU := func(c ClusteringPolicy) float64 {
-		ev, err := EvaluatePI(d, p, c.policyFn())
+		ev, err := evaluatePI(hc, p, c.policyFn(), c.alwaysOnFrom())
 		if err != nil || ev.EnergyRate > e*(1+1e-9)+1e-12 {
 			return -1
 		}
@@ -561,7 +630,8 @@ func refineFractional(d dist.Interarrival, e float64, p Params, cp ClusteringPol
 				continue
 			}
 			cost := func(c float64) float64 {
-				ev, err := EvaluatePI(d, p, v.make(c).policyFn())
+				vp := v.make(c)
+				ev, err := evaluatePI(hc, p, vp.policyFn(), vp.alwaysOnFrom())
 				if err != nil {
 					return math.Inf(1)
 				}

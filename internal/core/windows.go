@@ -59,6 +59,25 @@ func (w WindowPolicy) At(i int) float64 {
 	return w.Base.At(i)
 }
 
+// policyFn adapts the policy to the EvaluatePI callback shape.
+func (w WindowPolicy) policyFn() func(i int, hazard float64) float64 {
+	return func(i int, _ float64) float64 { return w.At(i) }
+}
+
+// alwaysOnFrom returns the first state from which the policy activates
+// with probability 1 until a capture: the base policy's, or the end of
+// the last sleep window (0 for an invalid policy).
+func (w WindowPolicy) alwaysOnFrom() int {
+	if w.Validate() != nil {
+		return 0
+	}
+	from := w.Base.alwaysOnFrom()
+	if n := len(w.Windows); n > 0 {
+		from = maxInt(from, w.Windows[n-1].Start+w.Windows[n-1].Len)
+	}
+	return from
+}
+
 // Vector materializes the policy with an always-on tail.
 func (w WindowPolicy) Vector() Vector {
 	end := w.Base.N3
@@ -88,7 +107,10 @@ type WindowResult struct {
 // energy after each insertion (the freed energy raises U by shortening
 // cycles elsewhere through the fractional boundaries). The search is
 // greedy: each round scans candidate (start, length) pairs on a coarse
-// grid and keeps the best strict improvement.
+// grid and keeps the best strict improvement. Candidates are scored with
+// the closed-form recovery tail; the scan range of each round comes from
+// one stepped evaluation of the current policy, the state where its
+// no-capture probability falls below piSurvivalTol.
 func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, maxWindows int) (*WindowResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -99,8 +121,9 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 	if maxWindows < 0 {
 		maxWindows = 0
 	}
+	hc := newHazardCache(d)
 	cur := WindowPolicy{Base: base.Policy}
-	curEval, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return cur.At(i) })
+	curEval, err := evaluatePI(hc, p, cur.policyFn(), cur.alwaysOnFrom())
 	if err != nil {
 		return nil, fmt.Errorf("evaluating base policy: %w", err)
 	}
@@ -114,7 +137,11 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 		if n := len(cur.Windows); n > 0 {
 			lo = cur.Windows[n-1].Start + cur.Windows[n-1].Len + 1
 		}
-		horizon := curEval.Horizon
+		stepped, err := evaluatePI(hc, p, cur.policyFn(), 0)
+		if err != nil {
+			break
+		}
+		horizon := stepped.Horizon
 		if lo >= horizon {
 			break
 		}
@@ -136,7 +163,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 				if cand.Validate() != nil {
 					continue
 				}
-				ev, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return cand.At(i) })
+				ev, err := evaluatePI(hc, p, cand.policyFn(), cand.alwaysOnFrom())
 				if err != nil || ev.EnergyRate > budget {
 					continue
 				}
@@ -151,7 +178,7 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 			break
 		}
 		// Phase 2: respend the winner's freed energy on the hot boundary.
-		pol2, ev2 := respendOnBoundary(d, e, p, bestCand.pol)
+		pol2, ev2 := respendOnBoundary(hc, e, p, bestCand.pol)
 		improved := false
 		if ev2 != nil && ev2.CaptureProb > curU+1e-12 {
 			cur, curU, curEval = pol2, ev2.CaptureProb, ev2
@@ -181,10 +208,10 @@ func RefineWindows(d dist.Interarrival, e float64, p Params, base *PIResult, max
 // feasible adjustment wins; the unadjusted policy is the fallback. It
 // returns the adjusted policy and its evaluation (nil if nothing
 // evaluates).
-func respendOnBoundary(d dist.Interarrival, e float64, p Params, w WindowPolicy) (WindowPolicy, *PIEval) {
+func respendOnBoundary(hc *hazardCache, e float64, p Params, w WindowPolicy) (WindowPolicy, *PIEval) {
 	budget := e*(1+1e-9) + 1e-12
 	evalOf := func(pol WindowPolicy) *PIEval {
-		ev, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return pol.At(i) })
+		ev, err := evaluatePI(hc, p, pol.policyFn(), pol.alwaysOnFrom())
 		if err != nil || ev.EnergyRate > budget {
 			return nil
 		}
@@ -223,7 +250,8 @@ func respendOnBoundary(d dist.Interarrival, e float64, p Params, w WindowPolicy)
 			continue
 		}
 		cost := func(c float64) float64 {
-			ev, err := EvaluatePI(d, p, func(i int, _ float64) float64 { return k.make(c).At(i) })
+			pol := k.make(c)
+			ev, err := evaluatePI(hc, p, pol.policyFn(), pol.alwaysOnFrom())
 			if err != nil {
 				return 1e18
 			}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+
+	"eventcap/internal/dist"
 )
 
 func TestWindowPolicyAt(t *testing.T) {
@@ -121,5 +124,44 @@ func TestRefineWindowsErrors(t *testing.T) {
 	}
 	if _, err := RefineWindows(d, 0.4, Params{}, base, 1); err == nil {
 		t.Fatal("invalid params accepted")
+	}
+}
+
+// TestRefineWindowsGolden pins the window search's outcome on two
+// workloads, with cmd/policycalc -refine's options. Weibull(15,1.5) at
+// e=0.3 gains from one sleep window late in the recovery tail. On
+// Weibull(40,3) at e=0.1 no window helps: the stepped chain's survival
+// falls below piSurvivalTol a few hundred states into recovery, so the
+// windows a leaking belief once produced near state 300,000 must not
+// reappear. The first case also guards the scan range: taking it from a
+// closed-form evaluation, which stops at the always-on state, would
+// leave no candidates and insert nothing.
+func TestRefineWindowsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow solver sweep")
+	}
+	p := DefaultParams()
+	for _, tc := range []struct {
+		d    *dist.Weibull
+		e    float64
+		want []SleepWindow
+	}{
+		{mustWeibull(t, 15, 1.5), 0.3, []SleepWindow{{Start: 1006, Len: 128}}},
+		{mustWeibull(t, 40, 3), 0.1, nil},
+	} {
+		base, err := OptimizeClustering(tc.d, tc.e, p, ClusteringOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := RefineWindows(tc.d, tc.e, p, base, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref.Policy.Windows, tc.want) {
+			t.Errorf("%s e=%g: windows %+v, want %+v", tc.d.Name(), tc.e, ref.Policy.Windows, tc.want)
+		}
+		if gain := ref.CaptureProb - ref.BaseCaptureProb; len(tc.want) > 0 && !(gain > 0) {
+			t.Errorf("%s e=%g: window gain %g, want > 0", tc.d.Name(), tc.e, gain)
+		}
 	}
 }

@@ -73,7 +73,8 @@ type Manifest struct {
 	// miss.noenergy always equals events.
 	Metrics map[string]float64 `json:"metrics"`
 	// Process is the experiment's share of the process-level counters
-	// ("cache." and "pool." prefixes).
+	// ("cache.", "core." and "pool." prefixes): policy-cache hits, the
+	// PI solver's evaluations and horizon caps, worker-pool health.
 	Process map[string]float64 `json:"process"`
 
 	// Profiles points at pprof files recorded during the run, when

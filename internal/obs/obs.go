@@ -344,6 +344,15 @@ var (
 	CachePolicyHits   = NewCounter("cache.policy.hits")
 	CachePolicyMisses = NewCounter("cache.policy.misses")
 
+	// Partial-information solver work (internal/core): one increment of
+	// evals per f-chain evaluation, plus one of tail_closed (always-on
+	// tail summed in closed form) or tail_stepped (chain walked state by
+	// state); horizon_capped counts evaluations cut at the horizon cap.
+	CorePIEvals         = NewCounter("core.pi.evals")
+	CorePITailClosed    = NewCounter("core.pi.tail_closed")
+	CorePITailStepped   = NewCounter("core.pi.tail_stepped")
+	CorePIHorizonCapped = NewCounter("core.pi.horizon_capped")
+
 	// Worker-pool health (internal/parallel): queue depth is the pending
 	// gauge, concurrency is the in-flight gauge, job latency is the
 	// histogram.
