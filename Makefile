@@ -44,8 +44,10 @@ lint-baseline:
 
 # Short-budget fuzzing of the numeric contracts: binomial sampling vs
 # CDF inversion, policy serialization round-trips, the PI solver's
-# closed-form recovery tail vs the stepped f-chain, and the O(1)
-# recharge closed form vs the sequential loop. Seed corpora live in
+# closed-form recovery tail vs the stepped f-chain, the O(1) recharge
+# closed form vs the sequential loop, the .evtrace reader vs its legacy
+# bufio oracle on corrupt and truncated streams, and the CLI spec
+# parsers (never panic, accept only usable values). Seed corpora live in
 # testdata/fuzz; CI runs this same budget per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -54,6 +56,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryTail -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
+	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzParseDist -fuzztime $(FUZZTIME) ./internal/cliutil
+	$(GO) test -run '^$$' -fuzz FuzzParseRecharge -fuzztime $(FUZZTIME) ./internal/cliutil
 
 # -short skips the long single-threaded solver sweeps (they exercise no
 # concurrency); the kernel equivalence tests always run. The raised

@@ -122,7 +122,7 @@ func runDump(args []string, out io.Writer) error {
 
 // dumpRow shapes one frame for JSONL output, keeping only the fields
 // meaningful for its kind.
-func dumpRow(f trace.Frame, run int64) map[string]any {
+func dumpRow(f *trace.Frame, run int64) map[string]any {
 	switch f.Kind {
 	case trace.FrameRunStart:
 		return map[string]any{
@@ -153,7 +153,7 @@ func dumpRow(f trace.Frame, run int64) map[string]any {
 	}
 }
 
-func dumpCSV(out io.Writer, f trace.Frame, run int64) error {
+func dumpCSV(out io.Writer, f *trace.Frame, run int64) error {
 	var err error
 	switch f.Kind {
 	case trace.FrameRunStart:

@@ -32,6 +32,9 @@ func TestParseDistErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", ":1,2", "nope:1", "weibull:40", "weibull:40,3,5",
 		"weibull:abc,3", "pareto:0.5,10", "geometric:2",
+		// Found by FuzzParseDist: p^k underflows (an all-zero PMF), and
+		// a k whose O(k) sampler never returns in practice.
+		"negbinomial:2000,0.5", "negbinomial:1e9,1",
 	} {
 		if _, err := ParseDist(spec); err == nil {
 			t.Errorf("ParseDist(%q) succeeded", spec)
@@ -77,6 +80,8 @@ func TestParseRechargeErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "wat:1", "bernoulli:0.5", "bernoulli:2,1", "periodic:5",
 		"constant:-1", "onoff:1,0,0.5",
+		// Found by FuzzParseRecharge: infinite deliveries.
+		"constant:Inf", "bernoulli:0.5,Inf", "periodic:Inf,3", "gaussian:Inf,1", "onoff:Inf,0.5,0.5",
 	} {
 		if _, err := ParseRecharge(spec); err == nil {
 			t.Errorf("ParseRecharge(%q) succeeded", spec)

@@ -25,12 +25,17 @@ type NegBinomial struct {
 
 var _ Interarrival = (*NegBinomial)(nil)
 
-// NewNegBinomial constructs the distribution with k >= 1 stages of
-// success probability p in (0, 1]. The PMF table is precomputed at
+// maxNegBinomialStages bounds k: Sample draws one geometric stage per
+// unit of k.
+const maxNegBinomialStages = 1 << 20
+
+// NewNegBinomial constructs the distribution with k in
+// [1, maxNegBinomialStages] stages of success probability p in (0, 1],
+// rejecting the pairs whose first mass p^k underflows. The PMF table is precomputed at
 // construction so the value methods are read-only (and concurrency-safe).
 func NewNegBinomial(k int, p float64) (*NegBinomial, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("dist: NegBinomial needs k >= 1 stages, got %d", k)
+	if k < 1 || k > maxNegBinomialStages {
+		return nil, fmt.Errorf("dist: NegBinomial needs 1 <= k <= %d stages, got %d", maxNegBinomialStages, k)
 	}
 	if !(p > 0) || p > 1 {
 		return nil, fmt.Errorf("dist: NegBinomial stage probability must be in (0,1], got %g", p)
@@ -44,6 +49,9 @@ func NewNegBinomial(k int, p float64) (*NegBinomial, error) {
 	// Stable recurrence from P(X = k) = p^k:
 	// pmf(slot+1)/pmf(slot) = (slot/(slot+1−k))·(1−p).
 	cur := math.Pow(p, float64(k))
+	if !(cur > 0) {
+		return nil, fmt.Errorf("dist: NegBinomial(k=%d,p=%g) is not representable: P(X = k) = p^k underflows to 0", k, p)
+	}
 	cum := cur
 	nb.pmf = append(nb.pmf, cur)
 	nb.cdf = append(nb.cdf, cum)

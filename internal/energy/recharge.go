@@ -66,8 +66,8 @@ func NewBernoulli(q, c float64) (*Bernoulli, error) {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return nil, fmt.Errorf("energy: Bernoulli q must be in [0,1], got %g", q)
 	}
-	if c < 0 || math.IsNaN(c) {
-		return nil, fmt.Errorf("energy: Bernoulli c must be >= 0, got %g", c)
+	if c < 0 || math.IsNaN(c) || math.IsInf(c, 1) {
+		return nil, fmt.Errorf("energy: Bernoulli c must be finite and >= 0, got %g", c)
 	}
 	return &Bernoulli{q: q, c: c, name: fmt.Sprintf("Bernoulli(q=%g,c=%g)", q, c)}, nil
 }
@@ -146,8 +146,8 @@ var _ Recharge = (*Periodic)(nil)
 // NewPeriodic constructs the process delivering amount energy once every
 // period slots (on the last slot of each period).
 func NewPeriodic(amount float64, period int) (*Periodic, error) {
-	if amount < 0 || math.IsNaN(amount) {
-		return nil, fmt.Errorf("energy: Periodic amount must be >= 0, got %g", amount)
+	if amount < 0 || math.IsNaN(amount) || math.IsInf(amount, 1) {
+		return nil, fmt.Errorf("energy: Periodic amount must be finite and >= 0, got %g", amount)
 	}
 	if period < 1 {
 		return nil, fmt.Errorf("energy: Periodic period must be >= 1, got %d", period)
@@ -209,8 +209,8 @@ var _ Recharge = (*Constant)(nil)
 
 // NewConstant constructs the deterministic per-slot recharge of e >= 0.
 func NewConstant(e float64) (*Constant, error) {
-	if e < 0 || math.IsNaN(e) {
-		return nil, fmt.Errorf("energy: Constant rate must be >= 0, got %g", e)
+	if e < 0 || math.IsNaN(e) || math.IsInf(e, 1) {
+		return nil, fmt.Errorf("energy: Constant rate must be finite and >= 0, got %g", e)
 	}
 	return &Constant{e: e, name: fmt.Sprintf("Constant(%g)", e)}, nil
 }
@@ -251,7 +251,7 @@ var _ Recharge = (*ClippedGaussian)(nil)
 
 // NewClippedGaussian constructs the process. sigma must be >= 0.
 func NewClippedGaussian(mu, sigma float64) (*ClippedGaussian, error) {
-	if sigma < 0 || math.IsNaN(sigma) || math.IsNaN(mu) {
+	if sigma < 0 || math.IsNaN(sigma) || math.IsInf(sigma, 1) || math.IsNaN(mu) || math.IsInf(mu, 0) {
 		return nil, fmt.Errorf("energy: invalid ClippedGaussian(%g, %g)", mu, sigma)
 	}
 	g := &ClippedGaussian{
@@ -300,8 +300,8 @@ var _ Recharge = (*OnOff)(nil)
 
 // NewOnOff constructs the process starting in the on state.
 func NewOnOff(amount, pOnToOff, pOffToOn float64) (*OnOff, error) {
-	if amount < 0 || math.IsNaN(amount) {
-		return nil, fmt.Errorf("energy: OnOff amount must be >= 0, got %g", amount)
+	if amount < 0 || math.IsNaN(amount) || math.IsInf(amount, 1) {
+		return nil, fmt.Errorf("energy: OnOff amount must be finite and >= 0, got %g", amount)
 	}
 	for _, p := range []float64{pOnToOff, pOffToOn} {
 		if p <= 0 || p > 1 || math.IsNaN(p) {

@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"eventcap/internal/stats"
 )
@@ -25,49 +26,12 @@ func QoMReports(r io.Reader) ([]stats.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reports []stats.Report
-	type spanEvents struct {
-		slot   int64
-		events int64
-	}
 	var (
-		started    bool
-		eventFlags map[int64]uint8
-		spans      []spanEvents
+		reports []stats.Report
+		cur     runCursor
+		events  slotFlags
+		spans   []Span // the open run's spans with events
 	)
-	closeRun := func() {
-		// Merge per-slot events and spans into one slot-ordered stream.
-		type obsAt struct {
-			slot     int64
-			span     bool
-			events   int64 // span only
-			captured bool  // event slot only
-		}
-		merged := make([]obsAt, 0, len(eventFlags)+len(spans))
-		// nondeterm:ok collect-then-sort: the sort below fixes the order
-		for slot, flags := range eventFlags {
-			merged = append(merged, obsAt{slot: slot, captured: flags&FlagCaptured != 0})
-		}
-		for _, s := range spans {
-			if s.events > 0 {
-				merged = append(merged, obsAt{slot: s.slot, span: true, events: s.events})
-			}
-		}
-		// Span slots never carry per-slot event records (the sensors
-		// were asleep), so slots are unique and the order total.
-		sort.Slice(merged, func(i, j int) bool { return merged[i].slot < merged[j].slot })
-		var qom stats.BatchMeans
-		for _, o := range merged {
-			if o.span {
-				qom.AddN(0, o.events)
-			} else if o.captured {
-				qom.Add(1)
-			} else {
-				qom.Add(0)
-			}
-		}
-		reports = append(reports, stats.QoMReport(&qom, stats.DefaultCILevel))
-	}
 	for {
 		f, err := tr.Next()
 		if err == io.EOF {
@@ -76,34 +40,54 @@ func QoMReports(r io.Reader) ([]stats.Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := cur.step(f); err != nil {
+			return nil, fmt.Errorf("trace: qom: %w", err)
+		}
 		switch f.Kind {
-		case FrameRunStart:
-			if started {
-				return nil, fmt.Errorf("trace: qom: run %d has no RunEnd frame", len(reports))
-			}
-			started = true
-			eventFlags = make(map[int64]uint8)
-			spans = spans[:0]
 		case FrameSlot:
-			if started && f.Rec.Flags&FlagEvent != 0 {
-				eventFlags[f.Rec.Slot] |= f.Rec.Flags
+			if f.Rec.Flags&FlagEvent != 0 {
+				events.or(f.Rec.Slot, f.Rec.Flags, cur.info.Slots)
 			}
 		case FrameSpan:
-			if started {
-				spans = append(spans, spanEvents{slot: f.Span.Start, events: f.Span.Events})
+			if f.Span.Events > 0 {
+				spans = append(spans, f.Span)
 			}
 		case FrameRunEnd:
-			if !started {
-				return nil, fmt.Errorf("trace: qom: RunEnd without RunStart")
-			}
-			closeRun()
-			started = false
+			reports = append(reports, runQoM(events.run(), spans))
+			events.reset()
+			spans = spans[:0]
 		}
 	}
-	if started {
-		return nil, fmt.Errorf("trace: qom: trace ends mid-run (missing RunEnd)")
+	if err := cur.finish(); err != nil {
+		return nil, fmt.Errorf("trace: qom: %w", err)
 	}
 	return reports, nil
+}
+
+// runQoM walks one run's event slots in slot order, merged with its
+// spans. Span slots never carry per-slot event records (the sensors
+// were asleep), so in a valid trace no slot holds both.
+func runQoM(events []uint8, spans []Span) stats.Report {
+	slices.SortFunc(spans, func(a, b Span) int { return cmp.Compare(a.Start, b.Start) })
+	var qom stats.BatchMeans
+	for slot, flags := range events {
+		if flags == 0 {
+			continue
+		}
+		for len(spans) > 0 && spans[0].Start <= int64(slot) {
+			qom.AddN(0, spans[0].Events)
+			spans = spans[1:]
+		}
+		if flags&FlagCaptured != 0 {
+			qom.Add(1)
+		} else {
+			qom.Add(0)
+		}
+	}
+	for _, s := range spans {
+		qom.AddN(0, s.Events)
+	}
+	return stats.QoMReport(&qom, stats.DefaultCILevel)
 }
 
 // PoolQoM folds per-run reports into the pooled estimate tracetool

@@ -42,17 +42,6 @@ type Summary struct {
 	QoM float64
 }
 
-// replayRun accumulates one run's reconstruction.
-type replayRun struct {
-	// eventFlags ORs the flags of every record at each event slot
-	// (per-sensor records and slot markers agree by construction; the
-	// OR makes replay independent of record order within a slot).
-	eventFlags map[int64]uint8
-	spanEvents int64
-	spanSlots  int64
-	started    bool
-}
-
 // Replay reconstructs a Summary from a trace stream, verifying each
 // run's reconstruction against its RunEnd frame. A trace written with a
 // full-trace Writer always replays; flight-recorder rings are not
@@ -63,7 +52,11 @@ func Replay(r io.Reader) (*Summary, error) {
 		return nil, err
 	}
 	sum := &Summary{}
-	run := replayRun{}
+	var (
+		cur                   runCursor
+		events                slotFlags
+		spanEvents, spanSlots int64
+	)
 	for {
 		f, err := tr.Next()
 		if err == io.EOF {
@@ -72,20 +65,15 @@ func Replay(r io.Reader) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := cur.step(f); err != nil {
+			return nil, fmt.Errorf("trace: replay: %w", err)
+		}
 		switch f.Kind {
-		case FrameRunStart:
-			if run.started {
-				return nil, fmt.Errorf("trace: replay: run %d has no RunEnd frame", sum.Runs)
-			}
-			run = replayRun{eventFlags: make(map[int64]uint8), started: true}
 		case FrameSlot:
-			if !run.started {
-				return nil, fmt.Errorf("trace: replay: slot record before any RunStart")
-			}
 			sum.Records++
-			rec := f.Rec
+			rec := &f.Rec
 			if rec.Flags&FlagEvent != 0 {
-				run.eventFlags[rec.Slot] |= rec.Flags
+				events.or(rec.Slot, rec.Flags, cur.info.Slots)
 			}
 			if rec.Sensor >= 0 {
 				if rec.Flags&FlagActive != 0 {
@@ -99,20 +87,16 @@ func Replay(r io.Reader) (*Summary, error) {
 				}
 			}
 		case FrameSpan:
-			if !run.started {
-				return nil, fmt.Errorf("trace: replay: span record before any RunStart")
-			}
 			sum.Spans++
-			run.spanEvents += f.Span.Events
-			run.spanSlots += f.Span.Len
+			spanEvents += f.Span.Events
+			spanSlots += f.Span.Len
 		case FrameRunEnd:
-			if !run.started {
-				return nil, fmt.Errorf("trace: replay: RunEnd without RunStart")
-			}
-			events := int64(len(run.eventFlags)) + run.spanEvents
-			var captures, noenergy int64
-			// nondeterm:ok order-independent counting over the slot set
-			for _, flags := range run.eventFlags {
+			var slotEvents, captures, noenergy int64
+			for _, flags := range events.run() {
+				if flags == 0 {
+					continue
+				}
+				slotEvents++
 				switch {
 				case flags&FlagCaptured != 0:
 					captures++
@@ -120,23 +104,25 @@ func Replay(r io.Reader) (*Summary, error) {
 					noenergy++
 				}
 			}
-			if events != f.End.Events || captures != f.End.Captures {
+			events.reset()
+			total := slotEvents + spanEvents
+			if total != f.End.Events || captures != f.End.Captures {
 				return nil, fmt.Errorf(
 					"trace: replay: run %d reconstructed events=%d captures=%d, but RunEnd recorded events=%d captures=%d",
-					sum.Runs, events, captures, f.End.Events, f.End.Captures)
+					sum.Runs, total, captures, f.End.Events, f.End.Captures)
 			}
 			sum.Runs++
-			sum.Events += events
+			sum.Events += total
 			sum.Captures += captures
 			sum.MissNoEnergy += noenergy
-			sum.MissAsleep += events - captures - noenergy
-			sum.SpanEvents += run.spanEvents
-			sum.SpanSlots += run.spanSlots
-			run = replayRun{}
+			sum.MissAsleep += total - captures - noenergy
+			sum.SpanEvents += spanEvents
+			sum.SpanSlots += spanSlots
+			spanEvents, spanSlots = 0, 0
 		}
 	}
-	if run.started {
-		return nil, fmt.Errorf("trace: replay: trace ends mid-run (missing RunEnd)")
+	if err := cur.finish(); err != nil {
+		return nil, fmt.Errorf("trace: replay: %w", err)
 	}
 	sum.Wasted = sum.Activations - sum.SensorCaptures
 	if sum.Events > 0 {

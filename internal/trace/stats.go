@@ -46,11 +46,6 @@ type StatsReport struct {
 	Outage     OutageStats  `json:"outage"`
 }
 
-// outageRun tracks one sensor's in-progress outage episode.
-type outageRun struct {
-	length int64
-}
-
 // Stats aggregates a trace into a per-region activation/miss breakdown
 // and outage-episode lengths.
 func Stats(r io.Reader) (*StatsReport, error) {
@@ -60,24 +55,24 @@ func Stats(r io.Reader) (*StatsReport, error) {
 	}
 	rep := &StatsReport{}
 	regions := make(map[uint64]*RegionStat)
-	var cost float64
-	open := make(map[int32]*outageRun) // per-sensor in-progress episodes
-	closeEpisode := func(o *outageRun) {
-		if o.length > 0 {
+	var (
+		cur runCursor
+		// outage holds each sensor's in-progress episode length,
+		// indexed by sensor and bounded by the run's RunInfo.Sensors.
+		outage []int64
+	)
+	endEpisode := func(n int64) {
+		if n > 0 {
 			rep.Outage.Episodes++
-			rep.Outage.Slots += o.length
-			if o.length > rep.Outage.MaxLen {
-				rep.Outage.MaxLen = o.length
-			}
-			o.length = 0
+			rep.Outage.Slots += n
+			rep.Outage.MaxLen = max(rep.Outage.MaxLen, n)
 		}
 	}
 	closeAll := func() {
-		// nondeterm:ok order-independent accumulation into scalar totals
-		for _, o := range open {
-			closeEpisode(o)
+		for _, n := range outage {
+			endEpisode(n)
 		}
-		clear(open)
+		clear(outage)
 	}
 	for {
 		f, err := tr.Next()
@@ -87,24 +82,26 @@ func Stats(r io.Reader) (*StatsReport, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := cur.step(f); err != nil {
+			return nil, fmt.Errorf("trace: stats: %w", err)
+		}
 		switch f.Kind {
 		case FrameRunStart:
 			rep.Runs++
-			cost = f.Run.Cost
-			closeAll()
 		case FrameSlot:
 			rep.Records++
-			rec := f.Rec
+			rec := &f.Rec
+			prob := rec.Prob
 			if rec.Sensor < 0 {
 				// Slot markers carry aggregate event outcomes, not a
 				// sensor decision; count their event in the zero-prob
 				// region so events stay complete.
-				rec.Prob = 0
+				prob = 0
 			}
-			key := math.Float64bits(rec.Prob)
+			key := math.Float64bits(prob)
 			rs := regions[key]
 			if rs == nil {
-				rs = &RegionStat{Prob: rec.Prob, MinH: math.MaxInt32, MaxH: -1}
+				rs = &RegionStat{Prob: prob, MinH: math.MaxInt32, MaxH: -1}
 				regions[key] = rs
 			}
 			rs.Slots++
@@ -122,25 +119,21 @@ func Stats(r io.Reader) (*StatsReport, error) {
 					rs.Misses++
 				}
 			}
-			if rec.Sensor >= 0 && rec.H >= 0 {
-				if rec.H < rs.MinH {
-					rs.MinH = rec.H
-				}
-				if rec.H > rs.MaxH {
-					rs.MaxH = rec.H
-				}
+			if rec.Sensor < 0 {
+				break
 			}
-			if rec.Sensor >= 0 {
-				o := open[rec.Sensor]
-				if o == nil {
-					o = &outageRun{}
-					open[rec.Sensor] = o
-				}
-				if rec.Battery < cost {
-					o.length++
-				} else {
-					closeEpisode(o)
-				}
+			if rec.H >= 0 {
+				rs.MinH = min(rs.MinH, rec.H)
+				rs.MaxH = max(rs.MaxH, rec.H)
+			}
+			if s := int(rec.Sensor); s >= len(outage) {
+				outage = append(outage, make([]int64, s+1-len(outage))...)
+			}
+			if rec.Battery < cur.info.Cost {
+				outage[rec.Sensor]++
+			} else {
+				endEpisode(outage[rec.Sensor])
+				outage[rec.Sensor] = 0
 			}
 		case FrameSpan:
 			rep.Spans++
@@ -153,7 +146,9 @@ func Stats(r io.Reader) (*StatsReport, error) {
 			closeAll()
 		}
 	}
-	closeAll()
+	if err := cur.finish(); err != nil {
+		return nil, fmt.Errorf("trace: stats: %w", err)
+	}
 	if rep.Outage.Episodes > 0 {
 		rep.Outage.MeanLen = float64(rep.Outage.Slots) / float64(rep.Outage.Episodes)
 	}
@@ -223,7 +218,7 @@ func Diff(a, b io.Reader) (*Divergence, error) {
 			}
 			return d, nil
 		}
-		if normalizeEngine(fa) != normalizeEngine(fb) {
+		if !sameBehavior(fa, fb) {
 			return &Divergence{
 				Frame: frame, Run: run, Slot: fa.Slot(),
 				A: describeFrame(fa), B: describeFrame(fb),
@@ -236,16 +231,17 @@ func Diff(a, b io.Reader) (*Divergence, error) {
 	}
 }
 
-// normalizeEngine blanks the engine tags so Diff compares behavior, not
-// which engine produced it.
-func normalizeEngine(f Frame) Frame {
-	f.Run.Engine = 0
-	f.Rec.Engine = 0
-	return f
+// sameBehavior compares two frames with their engine tags blanked, so
+// Diff compares behavior, not which engine produced it.
+func sameBehavior(a, b *Frame) bool {
+	x, y := *a, *b
+	x.Run.Engine, x.Rec.Engine = 0, 0
+	y.Run.Engine, y.Rec.Engine = 0, 0
+	return x == y
 }
 
 // describeFrame renders a frame for divergence reports.
-func describeFrame(f Frame) string {
+func describeFrame(f *Frame) string {
 	switch f.Kind {
 	case FrameRunStart:
 		return fmt.Sprintf("run-start{engine=%s sensors=%d seed=%d slots=%d policy=%s}",

@@ -78,8 +78,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got != want {
-			t.Fatalf("frame %d:\ngot  %+v\nwant %+v", i, got, want)
+		if *got != want {
+			t.Fatalf("frame %d:\ngot  %+v\nwant %+v", i, *got, want)
 		}
 	}
 	if _, err := r.Next(); err != io.EOF {
@@ -269,7 +269,7 @@ func TestFlightRecorderStoresEarliestDumps(t *testing.T) {
 // run 1 (reference, 2 sensors): 3 events — one captured, one denied
 // (noenergy), one missed asleep; run 2 (kernel): a span holding one
 // slept-through event plus one captured awake event.
-func buildTrace(t *testing.T) *bytes.Buffer {
+func buildTrace(t testing.TB) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
