@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"eventcap/internal/sim"
@@ -158,8 +159,12 @@ func TestSummarizeSpeedupRoundsMath(t *testing.T) {
 // growing B at a fixed chunk count must not change it either (all
 // per-replication state — RNG streams, battery, recharge — lives in
 // the reusable per-chunk worker; the only B-sized cost is the one
-// stats slice, a single allocation at any B).
+// stats slice, a single allocation at any B). GC is disabled during the
+// measurement: a cycle that starts mid-run charges its own bookkeeping
+// (one mark worker spawn) to the run, as in
+// TestMultiKernelSteadyStateAllocs.
 func TestBatchSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func(slots int64, batch, chunk int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			cfg := batchBenchConfig(t, sim.EngineBatch, slots, batch, 1)
@@ -178,6 +183,25 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	smallB, largeB := run(2_000, 128, 2048), run(2_000, 2048, 2048)
 	if largeB > smallB {
 		t.Errorf("batch replication loop allocates: %v allocs at B=128, %v at B=2048", smallB, largeB)
+	}
+
+	// The round-robin fleet worker keeps its per-sensor counters with the
+	// rest of its per-chunk state, so growing B must not allocate there
+	// either.
+	fleet := func(batch int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			cfg := multiBenchConfig(t, sim.EngineBatch, 2_000, 1)
+			cfg.Batch = batch
+			cfg.BatchChunk = 2048
+			cfg.Workers = 1
+			if _, err := sim.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	smallFleet, largeFleet := fleet(128), fleet(2048)
+	if largeFleet > smallFleet {
+		t.Errorf("fleet batch replication loop allocates: %v allocs at B=128, %v at B=2048", smallFleet, largeFleet)
 	}
 }
 
@@ -204,11 +228,14 @@ func TestEmitBenchBatchJSON(t *testing.T) {
 			m.MedianSpeedup, m.NoiseFloorPct, batchMinSpeedup)
 	}
 
+	// GC off for the alloc comparison, as in TestBatchSteadyStateAllocs.
+	prevGC := debug.SetGCPercent(-1)
 	loopAllocs := testing.AllocsPerRun(3, func() {
 		sim.Run(batchBenchConfig(t, sim.EngineBatch, 50_000, 256, 1))
 	}) - testing.AllocsPerRun(3, func() {
 		sim.Run(batchBenchConfig(t, sim.EngineBatch, 100, 256, 1))
 	})
+	debug.SetGCPercent(prevGC)
 	if loopAllocs > 0 {
 		t.Errorf("batch steady-state loop allocs = %v, want 0", loopAllocs)
 	}

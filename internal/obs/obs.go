@@ -318,7 +318,6 @@ var (
 	// carries these into the run-manifest metrics block automatically.
 	SimFallbackMode     = NewCounter("sim.engine.fallback.mode")
 	SimFallbackTrace    = NewCounter("sim.engine.fallback.trace")
-	SimFallbackTimeline = NewCounter("sim.engine.fallback.timeline")
 	SimFallbackFault    = NewCounter("sim.engine.fallback.fault")
 	SimFallbackPolicy   = NewCounter("sim.engine.fallback.policy")
 	SimFallbackInfo     = NewCounter("sim.engine.fallback.info")

@@ -10,26 +10,33 @@ import (
 	"eventcap/internal/obs"
 	"eventcap/internal/parallel"
 	"eventcap/internal/rng"
+	"eventcap/internal/trace"
 )
 
+// The compiled slot loops live here and in batch_multi.go, one per fleet
+// shape: batchWorker (single sensor), batchMultiWorker (round-robin
+// fleet) and batchIndepWorker (decoupled fleet, whose per-sensor loop
+// runIndependent shares). A compiled single run executes its shape's
+// worker once, as replication 0 at Config.Seed (runCompiled).
+//
 // The mega-batch engine simulates Config.Batch statistically independent
-// replications of one compiled single-sensor configuration in a single
-// call, sharing everything a replication does not own: the activation
-// table with its zero/one runs, the event distribution's quantile table,
-// and the Bernoulli recharge's binomial tables are built once and read by
-// every replication; per-replication state (RNG sources, the battery, a
-// stateful recharge's phase) lives in a fixed set of values reset in
-// place, so the steady-state loop allocates nothing per replication.
+// replications of one compiled configuration in a single call, sharing
+// everything a replication does not own: the activation table with its
+// zero/one runs, the event distribution's quantile table, and the
+// Bernoulli recharge's binomial tables are built once and read by every
+// replication; per-replication state (RNG sources, batteries, a stateful
+// recharge's phase) lives in a fixed set of values reset in place, so the
+// steady-state loop allocates nothing per replication.
 //
 // Determinism contract: replication r's random streams derive solely from
-// Config.Seed + r, laid out exactly as the kernel lays out a run at that
+// Config.Seed + r, laid out exactly as a single run lays them out at that
 // seed (root Reseed(Seed+r, 0x5eed), then event Split(1), decision
 // Split(2), recharge Split(100)). Replication r therefore reproduces the
-// run this Config would produce at Seed + r: byte-identically when the
-// kernel itself would be byte-deterministic on that configuration
-// (deterministic recharge, or any recharge with Metrics on, which
-// disables the batched awake runs below), and equal in law otherwise —
-// the same clause the kernel's sleep fast-forward already carries. The
+// run this Config would produce at Seed + r: byte-identically whenever it
+// consumes its streams as the single run does (any recharge but
+// Bernoulli, or any recharge with Metrics on, which disables the batched
+// awake runs below), and equal in law otherwise — the same clause the
+// sleep fast-forward already carries against the reference engine. The
 // chunk sharding and worker count never touch the streams, so results
 // are byte-identical across every Workers/BatchChunk setting.
 
@@ -191,7 +198,7 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	outs, err := parallel.MapInner(cfg.Workers, numChunks, func(ci int) (chunkOut, error) {
 		csp := ex.Fork("chunk")
 		defer csp.End()
-		w, err := newBatchRunner(&cfg, plan)
+		w, err := newBatchRunner(&cfg, plan, false)
 		if err != nil {
 			return chunkOut{}, err
 		}
@@ -206,7 +213,10 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 		}
 		csp.Count("replications", int64(hi-lo))
 		for r := lo; r < hi; r++ {
-			ev, cp := w.simulate(&cfg, plan, uint64(r), sensors[r*n:(r+1)*n], out.m, r == 0)
+			// Battery occupancy is defined on replication 0 only (see
+			// Metrics.mergeReplica).
+			o := runObservers{m: out.m, sample: out.m != nil && r == 0}
+			ev, cp := w.simulate(&cfg, plan, uint64(r), sensors[r*n:(r+1)*n], o)
 			if repCounts != nil {
 				repCounts[r] = [2]int64{ev, cp}
 			}
@@ -253,32 +263,35 @@ func runBatch(cfg Config, plan *batchPlan) (*Result, error) {
 	return res, nil
 }
 
-// batchRunner is one chunk's replication executor; simulate runs
+// batchRunner is one shape's compiled slot loop: simulate runs
 // replication rep into its rep-major sensors block and returns the
-// replication's event and capture counts.
+// replication's event and capture counts. The batch engine keeps one
+// per chunk; a single compiled run (runCompiled) executes one once.
 type batchRunner interface {
-	simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64)
+	simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o runObservers) (events, captures int64)
 }
 
-// newBatchRunner picks the chunk worker for the plan's shape: the
+// newBatchRunner picks the worker for the plan's shape: the
 // single-sensor worker (with its awake-run batching), the round-robin
-// fleet worker, or the decoupled-fleet worker.
-func newBatchRunner(cfg *Config, plan *batchPlan) (batchRunner, error) {
+// fleet worker, or the decoupled-fleet worker. single marks a worker
+// that runs one replication only, on the plan's own recharge instances.
+func newBatchRunner(cfg *Config, plan *batchPlan, single bool) (batchRunner, error) {
 	if plan.indep != nil {
 		return newBatchIndepWorker(cfg, plan)
 	}
 	if plan.kernel.n > 1 {
-		return newBatchMultiWorker(cfg, plan)
+		return newBatchMultiWorker(cfg, plan, single)
 	}
-	return newBatchWorker(cfg, plan)
+	return newBatchWorker(cfg, plan, single)
 }
 
-// chunkRecharge hands a chunk its own instance of the plan's recharge
-// process: the shared instance when stateless, a fresh prepared instance
-// (reset before every replication) otherwise — chunks run concurrently,
-// so a stateful process can never be shared.
-func chunkRecharge(cfg *Config, shared energy.FastForwarder) (energy.FastForwarder, resettable, error) {
-	if _, stateful := shared.(resettable); !stateful {
+// workerRecharge hands a worker its own instance of the plan's recharge
+// process: the shared instance when stateless or when the worker runs a
+// single replication, a fresh prepared instance (reset before every
+// replication) otherwise — chunks run concurrently, so a stateful
+// process can never be shared.
+func workerRecharge(cfg *Config, shared energy.FastForwarder, single bool) (energy.FastForwarder, resettable, error) {
+	if _, stateful := shared.(resettable); !stateful || single {
 		return shared, nil, nil
 	}
 	fresh, ok := cfg.NewRecharge().(energy.FastForwarder)
@@ -292,30 +305,34 @@ func chunkRecharge(cfg *Config, shared energy.FastForwarder) (energy.FastForward
 	return fresh, rst, nil
 }
 
-// batchWorker is one chunk's replication state: RNG values reseeded in
-// place per replication, one battery reset per replication, and the
-// chunk's recharge process (the plan's shared instance when stateless, a
-// fresh per-chunk instance reset per replication otherwise).
+// batchWorker is the single-sensor slot loop's state: RNG values
+// reseeded in place per replication, one battery reset per replication,
+// and the worker's recharge process (see workerRecharge).
 type batchWorker struct {
 	root, eventSrc, decisionSrc, rechargeSrc rng.Source
 
 	battery *energy.Battery
 	rech    energy.FastForwarder
-	rechRst resettable // non-nil iff the chunk owns a stateful recharge
+	rechRst resettable // non-nil iff the worker owns a fresh stateful recharge
+
+	// single disables awake-run batching: a single run consumes its
+	// streams slot by slot on awake slots, which keeps it the byte-exact
+	// twin of an instrumented batch replication at the same seed.
+	single bool
 
 	bern         *energy.Bernoulli
 	isBern       bool
 	bernQ, bernC float64
 }
 
-func newBatchWorker(cfg *Config, plan *batchPlan) (*batchWorker, error) {
-	w := &batchWorker{}
+func newBatchWorker(cfg *Config, plan *batchPlan, single bool) (*batchWorker, error) {
+	w := &batchWorker{single: single}
 	b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
 	if err != nil {
 		return nil, err
 	}
 	w.battery = b
-	w.rech, w.rechRst, err = chunkRecharge(cfg, plan.kernel.recharge)
+	w.rech, w.rechRst, err = workerRecharge(cfg, plan.kernel.recharges[0], single)
 	if err != nil {
 		return nil, err
 	}
@@ -328,16 +345,16 @@ func newBatchWorker(cfg *Config, plan *batchPlan) (*batchWorker, error) {
 }
 
 // simulate runs one replication, returning its event and capture counts.
-// The loop is the kernel's (runKernel) minus tracing, plus the two batch
-// accelerations: quantile-table event sampling (byte-identical to
-// Dist.Sample by the InverseSampler contract) and closed-form awake runs
-// (equal in law; disabled whenever m != nil so instrumented replications
-// consume their streams exactly as the kernel would). observe enables
-// battery-occupancy sampling, which batch Metrics define on replication 0
-// only.
-func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64) {
+// Sleep runs fast-forward in O(1) (one span each when traced); awake
+// slots replicate the reference engine's slot exactly. Two batch
+// accelerations apply on top: quantile-table event sampling when the
+// plan carries one (byte-identical to Dist.Sample by the InverseSampler
+// contract) and closed-form awake runs (equal in law; off for single
+// runs and whenever metrics are on, so those consume their streams slot
+// by slot).
+func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o runObservers) (events, captures int64) {
 	stats := &sensors[0]
-	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the kernel's root at Seed+r
+	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the reference engine's root at Seed+r
 	w.root.SplitInto(&w.eventSrc, 1)
 	w.root.SplitInto(&w.decisionSrc, 2)
 	w.root.SplitInto(&w.rechargeSrc, 100)
@@ -356,20 +373,53 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 	cost := cfg.Params.ActivationCost()
 	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
 	isBern, bernQ, bernC := w.isBern, w.bernQ, w.bernC
+	m, probe, tr := o.m, o.probe, o.tracer
 	// Awake-run batching draws one recharge count per run instead of one
 	// Bernoulli per slot, so it is off whenever metrics are on — an
 	// instrumented replication must consume its streams exactly as the
-	// kernel at Seed + rep would.
-	oneRuns := m == nil && isBern
+	// single run at Seed + rep does.
+	oneRuns := !w.single && m == nil && isBern
 
+	// Per-awake-slot metric accumulators stay in locals (registers)
+	// inside the loop and flush into m once at the end, keeping the
+	// instrumented loop within the slot-loop overhead budget of DESIGN.md
+	// §9. costGate mirrors energy.Battery.CanConsume. sampleCountdown
+	// costs one decrement-and-test per awake slot whether sampling is on
+	// or off (off starts from MaxInt64 and never fires).
 	invCap := 1 / cfg.BatteryCap
 	binScale := batteryBins * invCap
 	costGate := cost - 1e-12
 	var obsSlots, outage int64
 	var fracSum float64
 	sampleCountdown := int64(math.MaxInt64)
-	if m != nil && observe {
+	if o.sample {
 		sampleCountdown = batterySampleStride
+	}
+
+	// Tracing: awake slots always decide with nonzero probability (a
+	// zero-probability state would have been a sleep run), so every
+	// awake slot is decision-relevant and gets a record; each sleep run
+	// becomes one compressed span. partialH mirrors the reference
+	// engine's h = -1 under partial information, keeping the two
+	// engines' records comparable for tracetool diff. The awake-slot
+	// records go straight to the cached sinks (one Rec copy per slot)
+	// instead of through tr.Slot's fan-out.
+	partialH := cfg.Info == PartialInfo
+	var trWriter *trace.Writer
+	var trFlight *trace.FlightRecorder
+	if tr != nil {
+		trWriter, trFlight = tr.Writer(), tr.Recorder()
+		tr.RunStart(trace.RunInfo{
+			Engine:     trace.EngineKernel,
+			Sensors:    1,
+			Seed:       cfg.Seed + rep,
+			Slots:      cfg.Slots,
+			BatteryCap: cfg.BatteryCap,
+			Cost:       cost,
+			Policy:     plan.kernel.policies[0].Name(),
+			Dist:       d.Name(),
+			Recharge:   rech.Name(),
+		})
 	}
 
 	var activations, denied int64
@@ -396,7 +446,9 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 		}
 
 		if z := table.ZeroRunFrom(int(st)); z > 0 {
-			// Sleep run, exactly as the kernel executes it.
+			// Sleep run: the policy stays silent for the next z slots (no
+			// decision draws, no consumption), unless the state machine
+			// intervenes first.
 			n := z
 			if state == StateSlotPhase {
 				if wrap := modulus - st + 1; n > wrap {
@@ -407,7 +459,13 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 				n = left
 			}
 			eventsBefore := events
+			var span energy.SpanProbe
+			if tr != nil {
+				span = battery.BeginSpan()
+			}
 			if state == StateSinceEvent && nextEvent-t+1 <= n {
+				// The event resets h to 1 for the following slot, ending
+				// the run at the (slept-through) event slot itself.
 				n = nextEvent - t + 1
 				rech.FastForward(battery, n, &w.rechargeSrc)
 				events++
@@ -419,6 +477,9 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 				}
 			} else {
 				rech.FastForward(battery, n, &w.rechargeSrc)
+				// SinceCapture and SlotPhase states ignore events, so any
+				// number of events may fall inside the run; drain them in
+				// arrival order to keep the event stream aligned.
 				end := t + n - 1
 				for nextEvent <= end {
 					events++
@@ -430,22 +491,37 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 					}
 				}
 			}
+			if tr != nil {
+				tr.Span(trace.Span{
+					Start:     t,
+					Len:       n,
+					Events:    events - eventsBefore,
+					State:     uint8(state),
+					Delivered: battery.EndSpan(span),
+					Battery:   battery.Level(),
+				})
+			}
 			if m != nil {
+				// Every event inside a sleep run is a policy-scheduled
+				// miss: the sensor slept through it by construction.
 				m.KernelRuns++
 				m.KernelSlotsFastForwarded += n
 				m.MissAsleep += events - eventsBefore
+			}
+			if probe != nil {
+				probe.ObserveMisses(events - eventsBefore)
 			}
 			t += n
 			continue
 		}
 
 		if oneRuns {
-			if o := table.OneRunFrom(int(st)); o > 1 {
+			if one := table.OneRunFrom(int(st)); one > 1 {
 				// Certain-activation run: Bernoulli(p >= 1) consumes no
 				// decision draws, so until the next event the slots are a
 				// pure recharge/consume stream the battery can absorb in
 				// closed form.
-				n := o
+				n := one
 				if state == StateSlotPhase {
 					if wrap := modulus - st + 1; n > wrap {
 						n = wrap
@@ -467,22 +543,38 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 			}
 		}
 
-		// Awake slot: replicate the kernel's slot exactly.
+		// Awake slot: replicate the reference engine's slot exactly.
+		var amt float64
 		if isBern {
 			if w.rechargeSrc.Bernoulli(bernQ) {
+				amt = bernC
 				battery.Recharge(bernC)
 			}
 		} else {
-			battery.Recharge(rech.Next(&w.rechargeSrc))
+			amt = rech.Next(&w.rechargeSrc)
+			battery.Recharge(amt)
 		}
 		event := t == nextEvent
 		p := table.At(int(st))
-		capturedHere, deniedHere := false, false
+		// Decision-time states and battery, captured before the slot
+		// mutates them, mirroring the reference engine's records.
+		var h, f int64
+		var preLvl float64
+		if tr != nil {
+			h = t - lastEvent
+			if partialH {
+				h = -1
+			}
+			f = t - lastCapture
+			preLvl = battery.Level()
+		}
+		capturedHere, deniedHere, active := false, false, false
 		if w.decisionSrc.Bernoulli(p) {
 			if !battery.CanConsume(cost) {
 				denied++
 				deniedHere = true
 			} else {
+				active = true
 				battery.Consume(delta1)
 				activations++
 				if event {
@@ -508,20 +600,69 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 					m.MissAsleep++
 				}
 			}
+			if probe != nil {
+				probe.ObserveEvent(capturedHere)
+			}
+			if tr != nil && !capturedHere && deniedHere {
+				tr.OutageMiss(t)
+			}
 		}
+		if tr != nil {
+			var flags uint8
+			if event {
+				flags |= trace.FlagEvent
+			}
+			if active {
+				flags |= trace.FlagActive
+				if event {
+					flags |= trace.FlagCaptured
+				}
+			}
+			if deniedHere {
+				flags |= trace.FlagDenied
+			}
+			if trWriter != nil {
+				rec := trace.Rec{
+					Slot:     t,
+					Sensor:   0,
+					Engine:   trace.EngineKernel,
+					Flags:    flags,
+					H:        int32(h),
+					F:        int32(f),
+					Prob:     p,
+					Battery:  preLvl,
+					Recharge: amt,
+				}
+				trWriter.Rec(rec)
+				if trFlight != nil {
+					trFlight.Record(&rec)
+				}
+			} else if trFlight != nil {
+				// Flight-only: fields go straight into the ring slot.
+				trFlight.RecordSlot(t, 0, trace.EngineKernel, flags,
+					int32(h), int32(f), p, preLvl, amt)
+			}
+		}
+		// End-of-slot battery sample on every stride-th awake slot,
+		// matching the per-slot engines' end-of-slot semantics.
 		sampleCountdown--
 		if sampleCountdown == 0 {
 			sampleCountdown = batterySampleStride
 			lvl := battery.Level()
-			obsSlots++
-			fracSum += lvl * invCap
-			bin := int(lvl * binScale)
-			if bin >= batteryBins {
-				bin = batteryBins - 1
+			if m != nil {
+				obsSlots++
+				fracSum += lvl * invCap
+				bin := int(lvl * binScale)
+				if bin >= batteryBins {
+					bin = batteryBins - 1
+				}
+				m.BatteryHist[bin]++
+				if lvl < costGate {
+					outage++
+				}
 			}
-			m.BatteryHist[bin]++
-			if lvl < costGate {
-				outage++
+			if probe != nil {
+				probe.ObserveBattery(lvl * invCap)
 			}
 		}
 		t++
@@ -533,6 +674,9 @@ func (w *batchWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors
 	stats.EnergyConsumed = battery.Consumed()
 	stats.OverflowLost = battery.OverflowLost()
 	stats.FinalBattery = battery.Level()
+	if tr != nil {
+		tr.RunEnd(trace.RunEnd{Events: events, Captures: captures})
+	}
 	if m != nil {
 		m.ObservedSlots += obsSlots
 		m.BatteryFracSum += fracSum
@@ -579,8 +723,7 @@ func (w *batchWorker) awakeRun(n int64, cost, delta1 float64) bool {
 // cleared, preserving the batch engine's seed pairing so results stay
 // comparable across engines. Replications run sequentially — the per-run
 // engines parallelize internally where profitable, and the trace hooks
-// (handed to replication 0 only, like Timeline) are single-stream
-// consumers. Each inner run publishes its own observability totals;
+// (handed to replication 0 only) are single-stream consumers. Each inner run publishes its own observability totals;
 // the aggregate does not publish again.
 func runBatchFallback(cfg Config) (*Result, error) {
 	reps := cfg.Batch
@@ -608,13 +751,12 @@ func runBatchFallback(cfg Config) (*Result, error) {
 		// Every replication's compile/exec spans nest under this phase;
 		// replication 0 stands for all of them (spans are per-phase, and
 		// B sequential identical trees would bloat the export), matching
-		// the Trace/Timeline convention below.
+		// the Trace/Tracer convention below.
 		sub.Span = ex
 		if r > 0 {
 			sub.Span = nil
 			sub.Trace = nil
 			sub.Tracer = nil
-			sub.SampleEvery = 0
 		}
 		rr, err := Run(sub)
 		if err != nil {
@@ -628,7 +770,6 @@ func runBatchFallback(cfg Config) (*Result, error) {
 		}
 		if r == 0 {
 			res.Engine = rr.Engine
-			res.Timeline = rr.Timeline
 			if m != nil {
 				*m = *rr.Metrics
 			}

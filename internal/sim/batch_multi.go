@@ -7,30 +7,45 @@ import (
 	"eventcap/internal/rng"
 )
 
-// Fleet-shaped batch workers. Two shapes exist beyond the single-sensor
+// Fleet-shaped workers. Two shapes exist beyond the single-sensor
 // batchWorker:
 //
-//   - batchMultiWorker: coordinated round-robin fleets (plan.kernel.n >
-//     1). One shared decision state, N batteries, N recharge streams —
-//     the runKernelMulti loop with the batch accelerations (quantile
-//     event sampling). There is no awake-run batching here: decision
-//     ownership rotates per slot, so a certain-activation run spans
-//     several batteries and the closed-form guard no longer applies.
-//     Replication r is therefore byte-identical to runKernelMulti at
-//     Seed + r whenever that kernel is byte-deterministic, and equal in
-//     law under Bernoulli recharge (the FastForwarder clause).
+//   - batchMultiWorker: coordinated round-robin fleets (M-FI / M-PI and
+//     the multi-sensor aggressive baseline, plan.kernel.n > 1). The
+//     in-charge sensor's decision state is global (h resets on every
+//     event, the broadcast f on every capture, the slot phase is
+//     absolute), so the fleet shares one compiled activation table and
+//     the single-sensor sleep fast-forward generalizes over the sensor
+//     dimension: a run of z zero-probability states silences whichever
+//     sensors own those slots, and the only per-sensor work is advancing
+//     N batteries through their own recharge streams. There is no
+//     awake-run batching here: decision ownership rotates per slot, so a
+//     certain-activation run spans several batteries and the closed-form
+//     guard no longer applies.
+//
+//     RNG stream layout (the reference engine's, for byte-identity under
+//     deterministic recharge): root Reseed(Seed+r, 0x5eed), event
+//     Split(1), shared decision Split(2), then recharge Split(100+s) for
+//     s = 0..N-1 in sensor order. Per slot the reference consumes one
+//     recharge draw per sensor — each from its own stream, so batching a
+//     sleep run's n draws per sensor is exactly n sequential draws — and
+//     one decision draw iff the in-charge sensor's probability is
+//     positive, which is precisely the awake-slot condition here. Under
+//     Bernoulli recharge each sensor's sleep run collapses to one exact
+//     Binomial(n, q) draw and results agree in law (the
+//     energy.FastForwarder contract).
 //
 //   - batchIndepWorker: decoupled ModeAll+PartialInfo fleets
 //     (plan.indep != nil). Replication r reproduces runIndependent at
 //     Seed + r: same stream layout (event Split(1), a discarded
 //     Split(2), recharge Split(100+s), decision Split(200+s)), same
-//     shared event trajectory, one compiled per-sensor loop each. The
-//     battery is a single instance reset per sensor — sensors never
-//     interact, so sequential reuse is exact.
+//     shared event trajectory, and the same per-sensor compiled loop
+//     (indepSensorPlan.simulate). The battery is a single instance reset
+//     per sensor — sensors never interact, so sequential reuse is exact.
 
-// batchMultiWorker is one chunk's replication state for a round-robin
-// fleet: per-sensor batteries, recharge processes and streams, reset or
-// reseeded in place per replication.
+// batchMultiWorker is the round-robin fleet's slot-loop state:
+// per-sensor batteries, recharge processes, streams and counters, reset
+// or reseeded in place per replication.
 type batchMultiWorker struct {
 	root, eventSrc, decisionSrc rng.Source
 
@@ -41,10 +56,15 @@ type batchMultiWorker struct {
 
 	allBern      bool
 	bernQ, bernC []float64
+
+	// activations, denied and captures are the per-sensor counters,
+	// zeroed per replication.
+	activations, denied, captures []int64
 }
 
-func newBatchMultiWorker(cfg *Config, plan *batchPlan) (*batchMultiWorker, error) {
+func newBatchMultiWorker(cfg *Config, plan *batchPlan, single bool) (*batchMultiWorker, error) {
 	n := plan.kernel.n
+	counters := make([]int64, 3*n)
 	w := &batchMultiWorker{
 		rechargeSrcs: make([]rng.Source, n),
 		batteries:    make([]energy.Battery, n),
@@ -53,6 +73,9 @@ func newBatchMultiWorker(cfg *Config, plan *batchPlan) (*batchMultiWorker, error
 		allBern:      true,
 		bernQ:        make([]float64, n),
 		bernC:        make([]float64, n),
+		activations:  counters[:n],
+		denied:       counters[n : 2*n],
+		captures:     counters[2*n:],
 	}
 	for s := 0; s < n; s++ {
 		b, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
@@ -60,7 +83,7 @@ func newBatchMultiWorker(cfg *Config, plan *batchPlan) (*batchMultiWorker, error
 			return nil, err
 		}
 		w.batteries[s] = *b
-		rech, rst, err := chunkRecharge(cfg, plan.kernel.recharges[s])
+		rech, rst, err := workerRecharge(cfg, plan.kernel.recharges[s], single)
 		if err != nil {
 			return nil, err
 		}
@@ -74,9 +97,13 @@ func newBatchMultiWorker(cfg *Config, plan *batchPlan) (*batchMultiWorker, error
 	return w, nil
 }
 
-func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64) {
+// simulate runs one replication. Sensor ownership of awake slot t is
+// (t-1) mod N — the same modulus mechanics as StateSlotPhase, but folded
+// into per-slot attribution only: sleep runs are ownership-agnostic
+// (nobody decides), so they never split on sensor boundaries.
+func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o runObservers) (events, captures int64) {
 	n := len(sensors)
-	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the multi kernel's root at Seed+r
+	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal the reference engine's root at Seed+r
 	w.root.SplitInto(&w.eventSrc, 1)
 	w.root.SplitInto(&w.decisionSrc, 2)
 	for s := 0; s < n; s++ {
@@ -86,6 +113,10 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 			w.rechRsts[s].Reset()
 		}
 	}
+	activations, denied, sensorCaptures := w.activations, w.denied, w.captures
+	for s := 0; s < n; s++ {
+		activations[s], denied[s], sensorCaptures[s] = 0, 0, 0
+	}
 
 	table := plan.table
 	quant := plan.quant
@@ -94,18 +125,22 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 	modulus := plan.kernel.modulus
 	cost := cfg.Params.ActivationCost()
 	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
+	// Devirtualize the per-awake-slot recharge draws when the whole fleet
+	// runs the paper's Bernoulli process (one factory, so in practice all
+	// or none); the draws consume the streams exactly as Bernoulli.Next.
 	isBern := w.allBern
+	m, probe := o.m, o.probe
 
+	// Same accumulator discipline as batchWorker: per-awake-slot metric
+	// state stays in locals and flushes once at the end. Occupancy tracks
+	// sensor 0 every stride-th awake slot.
 	invCap := 1 / cfg.BatteryCap
 	binScale := batteryBins * invCap
 	costGate := cost - 1e-12
 	var obsSlots, outage int64
 	var fracSum float64
-	var activations, denied, sensorCaptures []int64
-	perSensor := make([]int64, 3*n)
-	activations, denied, sensorCaptures = perSensor[:n], perSensor[n:2*n], perSensor[2*n:]
 	sampleCountdown := int64(math.MaxInt64)
-	if m != nil && observe {
+	if o.sample {
 		sampleCountdown = batterySampleStride
 	}
 
@@ -132,9 +167,10 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 		}
 
 		if z := table.ZeroRunFrom(int(st)); z > 0 {
-			// Shared sleep run, exactly as runKernelMulti executes it: the
-			// whole fleet stays silent and every battery fast-forwards
-			// through its own stream.
+			// Sleep run: every sensor owning a slot in the run would read
+			// the same zero-probability state, so the whole fleet stays
+			// silent for the next run slots (no decision draws, no
+			// consumption) and all N batteries fast-forward together.
 			run := z
 			if state == StateSlotPhase {
 				if wrap := modulus - st + 1; run > wrap {
@@ -146,6 +182,8 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 			}
 			eventsBefore := events
 			if state == StateSinceEvent && nextEvent-t+1 <= run {
+				// The event resets h to 1 for the following slot, ending
+				// the run at the (slept-through) event slot itself.
 				run = nextEvent - t + 1
 				for s := 0; s < n; s++ {
 					w.rechs[s].FastForward(&w.batteries[s], run, &w.rechargeSrcs[s])
@@ -161,6 +199,8 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 				for s := 0; s < n; s++ {
 					w.rechs[s].FastForward(&w.batteries[s], run, &w.rechargeSrcs[s])
 				}
+				// SinceCapture and SlotPhase states ignore events; drain
+				// any that fall inside the run in arrival order.
 				end := t + run - 1
 				for nextEvent <= end {
 					events++
@@ -173,15 +213,22 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 				}
 			}
 			if m != nil {
+				// KernelSlotsFastForwarded counts slots, not sensor-slots:
+				// one run of length run skips run slots for the whole
+				// fleet, preserving awake = Slots − FastForwarded.
 				m.KernelRuns++
 				m.KernelSlotsFastForwarded += run
 				m.MissAsleep += events - eventsBefore
+			}
+			if probe != nil {
+				probe.ObserveMisses(events - eventsBefore)
 			}
 			t += run
 			continue
 		}
 
-		// Awake slot: every sensor recharges, the in-charge one decides.
+		// Awake slot: replicate the reference engine's slot exactly —
+		// every sensor recharges, only the in-charge sensor decides.
 		if isBern {
 			for s := 0; s < n; s++ {
 				if w.rechargeSrcs[s].Bernoulli(w.bernQ[s]) {
@@ -229,20 +276,30 @@ func (w *batchMultiWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 					m.MissAsleep++
 				}
 			}
+			if probe != nil {
+				probe.ObserveEvent(capturedHere)
+			}
 		}
+		// End-of-slot battery sample of sensor 0 on every stride-th awake
+		// slot, matching the single-sensor convention.
 		sampleCountdown--
 		if sampleCountdown == 0 {
 			sampleCountdown = batterySampleStride
 			lvl := w.batteries[0].Level()
-			obsSlots++
-			fracSum += lvl * invCap
-			bin := int(lvl * binScale)
-			if bin >= batteryBins {
-				bin = batteryBins - 1
+			if m != nil {
+				obsSlots++
+				fracSum += lvl * invCap
+				bin := int(lvl * binScale)
+				if bin >= batteryBins {
+					bin = batteryBins - 1
+				}
+				m.BatteryHist[bin]++
+				if lvl < costGate {
+					outage++
+				}
 			}
-			m.BatteryHist[bin]++
-			if lvl < costGate {
-				outage++
+			if probe != nil {
+				probe.ObserveBattery(lvl * invCap)
 			}
 		}
 		t++
@@ -286,9 +343,6 @@ type batchIndepWorker struct {
 	rechs        []energy.FastForwarder
 	rechRsts     []resettable
 
-	isBern       []bool
-	bernQ, bernC []float64
-
 	eventBuf    []int64
 	capturedBuf []bool
 	deniedBuf   []bool
@@ -306,25 +360,17 @@ func newBatchIndepWorker(cfg *Config, plan *batchPlan) (*batchIndepWorker, error
 		battery:      b,
 		rechs:        make([]energy.FastForwarder, n),
 		rechRsts:     make([]resettable, n),
-		isBern:       make([]bool, n),
-		bernQ:        make([]float64, n),
-		bernC:        make([]float64, n),
 	}
 	for s := 0; s < n; s++ {
-		rech, rst, err := chunkRecharge(cfg, plan.indep[s].recharge)
+		w.rechs[s], w.rechRsts[s], err = workerRecharge(cfg, plan.indep[s].recharge, false)
 		if err != nil {
 			return nil, err
-		}
-		w.rechs[s], w.rechRsts[s] = rech, rst
-		if bern, ok := rech.(*energy.Bernoulli); ok {
-			w.isBern[s] = true
-			w.bernQ[s], w.bernC[s] = bern.Q(), bern.C()
 		}
 	}
 	return w, nil
 }
 
-func (w *batchIndepWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, m *Metrics, observe bool) (events, captures int64) {
+func (w *batchIndepWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, sensors []SensorStats, o runObservers) (events, captures int64) {
 	n := len(sensors)
 	w.root.Reseed(cfg.Seed+rep, 0x5eed) // seedflow:ok replication-root: rep r must equal runIndependent's root at Seed+r
 	w.root.SplitInto(&w.eventSrc, 1)
@@ -357,124 +403,35 @@ func (w *batchIndepWorker) simulate(cfg *Config, plan *batchPlan, rep uint64, se
 		w.capturedBuf = make([]bool, len(eventSlots))
 		w.deniedBuf = make([]bool, len(eventSlots))
 	}
-	capturedAny := w.capturedBuf[:len(eventSlots)]
-	deniedAny := w.deniedBuf[:len(eventSlots)]
-	for i := range capturedAny {
-		capturedAny[i] = false
-		deniedAny[i] = false
+	ev := indepEvents{
+		slots:    eventSlots,
+		captured: w.capturedBuf[:len(eventSlots)],
+		denied:   w.deniedBuf[:len(eventSlots)],
+	}
+	for i := range ev.captured {
+		ev.captured[i] = false
+		ev.denied[i] = false
 	}
 
-	cost := cfg.Params.ActivationCost()
-	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
-	invCap := 1 / cfg.BatteryCap
-
-	b := w.battery
+	m := o.m
 	for s := 0; s < n; s++ {
-		sp := &plan.indep[s]
-		b.Reset(cfg.InitialBattery)
+		w.battery.Reset(cfg.InitialBattery)
 		if w.rechRsts[s] != nil {
 			w.rechRsts[s].Reset()
 		}
-		rSrc, dSrc := &w.rechargeSrcs[s], &w.decisionSrcs[s]
-		rech := w.rechs[s]
-		isBern, bq, bc := w.isBern[s], w.bernQ[s], w.bernC[s]
-		var activations, sensorCaptures, denied int64
-		// Battery occupancy keeps the batch convention (replication 0
-		// only) and the independent-kernel one (sensor 0, awake stride).
-		sampleCountdown := int64(math.MaxInt64)
-		if m != nil && observe && s == 0 {
-			sampleCountdown = batterySampleStride
-		}
-		lastCapture := int64(0)
-		ei := 0
-		t := int64(1)
-		for t <= cfg.Slots {
-			var st int64
-			if sp.state == StateSinceCapture {
-				st = t - lastCapture
-			} else {
-				st = (t-1)%sp.modulus + 1
-			}
-			if z := sp.table.ZeroRunFrom(int(st)); z > 0 {
-				run := z
-				if sp.state == StateSlotPhase {
-					if wrap := sp.modulus - st + 1; run > wrap {
-						run = wrap
-					}
-				}
-				if left := cfg.Slots - t + 1; run > left {
-					run = left
-				}
-				rech.FastForward(b, run, rSrc)
-				end := t + run - 1
-				for ei < len(eventSlots) && eventSlots[ei] <= end {
-					ei++
-				}
-				if m != nil {
-					m.KernelRuns++
-					m.KernelSlotsFastForwarded += run
-				}
-				t += run
-				continue
-			}
-			if isBern {
-				if rSrc.Bernoulli(bq) {
-					b.Recharge(bc)
-				}
-			} else {
-				b.Recharge(rech.Next(rSrc))
-			}
-			event := ei < len(eventSlots) && eventSlots[ei] == t
-			p := sp.table.At(int(st))
-			if dSrc.Bernoulli(p) {
-				if !b.CanConsume(cost) {
-					denied++
-					if event {
-						deniedAny[ei] = true
-					}
-				} else {
-					b.Consume(delta1)
-					activations++
-					if event {
-						b.Consume(delta2)
-						sensorCaptures++
-						capturedAny[ei] = true
-						lastCapture = t
-					}
-				}
-			}
-			if event {
-				ei++
-			}
-			sampleCountdown--
-			if sampleCountdown == 0 {
-				sampleCountdown = batterySampleStride
-				m.observeBattery(b.Level() * invCap)
-				if !b.CanConsume(cost) {
-					m.EnergyOutageSlots++
-				}
-			}
-			t++
-		}
-		sensors[s] = SensorStats{
-			Activations:    activations,
-			Captures:       sensorCaptures,
-			Denied:         denied,
-			EnergyConsumed: b.Consumed(),
-			OverflowLost:   b.OverflowLost(),
-			FinalBattery:   b.Level(),
-		}
-		if m != nil {
-			m.WastedActivations += activations - sensorCaptures
-		}
+		// Battery occupancy keeps the independent engine's sensor-0
+		// convention on top of the caller's replication choice.
+		so := runObservers{m: m, sample: o.sample && s == 0}
+		sensors[s] = plan.indep[s].simulate(cfg, w.rechs[s], w.battery,
+			&w.rechargeSrcs[s], &w.decisionSrcs[s], ev, cfg.Slots, so)
 	}
 
 	events = int64(len(eventSlots))
-	for i := range capturedAny {
-		if capturedAny[i] {
+	for i, c := range ev.captured {
+		if c {
 			captures++
 		} else if m != nil {
-			if deniedAny[i] {
+			if ev.denied[i] {
 				m.MissNoEnergy++
 			} else {
 				m.MissAsleep++

@@ -303,7 +303,6 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 		{"multiple sensors", func(c *Config) { c.N = 2 }},
 		{"trace", func(c *Config) { c.Trace = func(TraceRecord) {} }},
 		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
-		{"timeline", func(c *Config) { c.SampleEvery = 100 }},
 		{"fault injection", func(c *Config) { c.FailAt = map[int]int64{0: 10} }},
 		{"stateful policy", func(c *Config) {
 			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }

@@ -95,7 +95,6 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 			sub.Span = nil
 			sub.Trace = nil
 			sub.Tracer = nil
-			sub.SampleEvery = 0
 		}
 		rr, err := Run(sub)
 		if err != nil {
@@ -109,7 +108,6 @@ func RunWithEarlyStop(cfg Config, opt EarlyStopOptions) (*Result, *StopDecision,
 		agg.Sensors = append(agg.Sensors, rr.Sensors...)
 		if done == 0 {
 			agg.Engine = rr.Engine
-			agg.Timeline = rr.Timeline
 			if m != nil {
 				*m = *rr.Metrics
 			}

@@ -7,7 +7,6 @@ import (
 	"eventcap/internal/core"
 	"eventcap/internal/energy"
 	"eventcap/internal/obs"
-	"eventcap/internal/rng"
 	"eventcap/internal/trace"
 )
 
@@ -123,8 +122,6 @@ func (f fallback) record() {
 		obs.SimFallbackMode.Inc()
 	case "trace":
 		obs.SimFallbackTrace.Inc()
-	case "timeline":
-		obs.SimFallbackTimeline.Inc()
 	case "fault":
 		obs.SimFallbackFault.Inc()
 	case "policy":
@@ -140,16 +137,13 @@ func (f fallback) record() {
 	}
 }
 
-// kernelPlan is a validated, instantiated kernel configuration. For
-// n == 1 the scalar policy/recharge fields drive runKernel and the batch
-// worker; for n > 1 (ModeRoundRobin) the per-sensor slices drive
-// runKernelMulti, with the scalars aliasing index 0.
+// kernelPlan is a validated, instantiated kernel configuration: one
+// shared activation table plus one policy and one prepared recharge per
+// sensor (n == 1 for a single sensor, n > 1 for a ModeRoundRobin fleet).
 type kernelPlan struct {
-	table    *core.ActivationTable
-	state    StateKind
-	modulus  int64
-	policy   Policy
-	recharge energy.FastForwarder
+	table   *core.ActivationTable
+	state   StateKind
+	modulus int64
 
 	n         int
 	policies  []Policy
@@ -192,9 +186,6 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 	}
 	if cfg.Trace != nil {
 		return nil, fallback{"trace", "per-slot trace requested"}
-	}
-	if cfg.SampleEvery > 0 {
-		return nil, fallback{"timeline", "timeline sampling requested"}
 	}
 	if len(cfg.FailAt) > 0 {
 		return nil, fallback{"fault", "fault injection requested"}
@@ -257,331 +248,69 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 		}
 		plan.recharges[s] = ff
 	}
-	plan.policy = plan.policies[0]
-	plan.recharge = plan.recharges[0]
 	return plan, fallback{}
 }
 
-// runKernel executes the compiled fast path. It reproduces the reference
-// engine's RNG stream layout (event Split(1), decision Split(2), recharge
-// Split(100)) and its draw-consumption pattern — zero-probability slots
-// consume no decision draws in either engine — so under deterministic
-// recharge the Result is byte-identical to the reference; under stochastic
-// recharge the recharge stream is consumed in batches and results agree in
-// law (see energy.FastForwarder).
-func runKernel(cfg Config, plan *kernelPlan) (*Result, error) {
+// runObservers is what one execution of a compiled slot loop reports to
+// beyond its counts and SensorStats. A batch replication carries at most
+// Metrics, with battery sampling on replication 0 only; a single run
+// carries every observer its Config asks for. All of them are
+// RNG-neutral: the loops consume their streams identically with any
+// combination attached.
+type runObservers struct {
+	m *Metrics
+	// sample turns on the end-of-slot battery-occupancy sample of sensor
+	// 0 on every batterySampleStride-th awake slot, into m and probe.
+	sample bool
+	// probe receives the per-event QoM feed (single runs only; the batch
+	// engine feeds its probe per replication after the join).
+	probe *StatsProbe
+	// tracer receives slot records and one span per sleep run (single
+	// sensor only; compileKernel keeps traced fleets on the reference
+	// engine).
+	tracer *trace.Tracer
+}
+
+// runCompiled executes a compiled single run: the shape's batch worker
+// (single sensor or round-robin fleet) runs once, as replication 0 at
+// cfg.Seed, with every per-run observer attached. The worker reproduces
+// the reference engine's RNG stream layout (event Split(1), decision
+// Split(2), recharge Split(100+s)) and its draw-consumption pattern —
+// zero-probability slots consume no decision draws in either engine — so
+// under deterministic recharge the Result is byte-identical to the
+// reference; under stochastic recharge sleep runs consume the recharge
+// stream in batches and results agree in law (see energy.FastForwarder).
+func runCompiled(cfg Config, plan *kernelPlan) (*Result, error) {
 	ex := cfg.Span.Child("exec.kernel")
 	defer ex.End()
 	ex.Count("slots", cfg.Slots)
 	ex.Count("sensors", int64(plan.n))
 	defer cfg.Progress.FinishWork(cfg.Slots * int64(plan.n))
-	if plan.n > 1 {
-		return runKernelMulti(cfg, plan)
-	}
-	root := rng.New(cfg.Seed, 0x5eed) // seedflow:ok run-root: must equal the reference engine's root for byte-identity
-	eventSrc := root.Split(1)
-	decisionSrc := root.Split(2)
-	battery, err := energy.NewBattery(cfg.BatteryCap, cfg.InitialBattery)
+	// A single run never batches awake runs, so the batch-only one-run
+	// lengths are never read and the table is not extended with them.
+	bp := &batchPlan{kernel: plan, table: &core.BatchTable{ActivationTable: plan.table}}
+	w, err := newBatchRunner(&cfg, bp, true)
 	if err != nil {
 		return nil, err
 	}
-	rechargeSrc := root.Split(100)
-	plan.policy.Reset()
-
-	table := plan.table
-	rech := plan.recharge
-	cost := cfg.Params.ActivationCost()
-	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
-
-	// Devirtualize the per-awake-slot recharge draw for the paper's
-	// default Bernoulli process; the draw below consumes the recharge
-	// stream exactly as Bernoulli.Next would.
-	var bernQ, bernC float64
-	bern, isBern := rech.(*energy.Bernoulli)
-	if isBern {
-		bernQ, bernC = bern.Q(), bern.C()
+	for _, p := range plan.policies {
+		p.Reset()
 	}
-
-	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, 1), Engine: EngineKernel}
-	stats := &res.Sensors[0]
-	var m *Metrics
+	res := &Result{Slots: cfg.Slots, Sensors: make([]SensorStats, plan.n), Engine: EngineKernel}
+	o := runObservers{probe: newStatsProbe(&cfg), tracer: cfg.Tracer}
 	if cfg.Metrics {
-		m = &Metrics{}
-		res.Metrics = m
+		o.m = &Metrics{}
+		res.Metrics = o.m
 	}
-	sprobe := newStatsProbe(&cfg)
-	// Per-awake-slot metric accumulators stay in locals (registers)
-	// inside the loop and flush into m once at the end, keeping the
-	// instrumented kernel within the slot-loop overhead budget of
-	// DESIGN.md §9. costGate mirrors energy.Battery.CanConsume.
-	invCap := 1 / cfg.BatteryCap
-	binScale := batteryBins * invCap
-	costGate := cost - 1e-12
-	var obsSlots, outage int64
-	var fracSum float64
-	// sampleCountdown strides the battery observation over awake slots:
-	// it costs one decrement-and-test per awake slot whether metrics are
-	// on or off (off starts from MaxInt64 and never fires), so enabling
-	// collection only pays for every batterySampleStride-th observation.
-	sampleCountdown := int64(math.MaxInt64)
-	if m != nil || sprobe != nil {
-		sampleCountdown = batterySampleStride
-	}
-
-	// Tracing: awake slots always decide with nonzero probability (a
-	// zero-probability state would have been a sleep run), so every
-	// awake slot is decision-relevant and gets a record; each sleep run
-	// becomes one compressed span. partialH mirrors the reference
-	// engine's h = -1 under partial information, keeping the two
-	// engines' records comparable for tracetool diff.
-	tr := cfg.Tracer
-	partialH := cfg.Info == PartialInfo
-	// Cached sinks: the awake-slot loop records directly (one Rec copy
-	// per slot) instead of through tr.Slot's fan-out.
-	var trWriter *trace.Writer
-	var trFlight *trace.FlightRecorder
-	if tr != nil {
-		trWriter, trFlight = tr.Writer(), tr.Recorder()
-		tr.RunStart(trace.RunInfo{
-			Engine:     trace.EngineKernel,
-			Sensors:    1,
-			Seed:       cfg.Seed,
-			Slots:      cfg.Slots,
-			BatteryCap: cfg.BatteryCap,
-			Cost:       cost,
-			Policy:     plan.policy.Name(),
-			Dist:       cfg.Dist.Name(),
-			Recharge:   rech.Name(),
-		})
-	}
-
-	// The paper assumes an event (and capture) at slot 0.
-	lastEvent, lastCapture := int64(0), int64(0)
-	nextEvent := int64(cfg.Dist.Sample(eventSrc))
-
-	t := int64(1)
-	for t <= cfg.Slots {
-		var st int64
-		switch plan.state {
-		case StateSinceEvent:
-			st = t - lastEvent
-		case StateSinceCapture:
-			st = t - lastCapture
-		default:
-			st = (t-1)%plan.modulus + 1
-		}
-
-		if z := table.ZeroRunFrom(int(st)); z > 0 {
-			// Sleep run: the policy stays silent for the next z slots (no
-			// decision draws, no consumption), unless the state machine
-			// intervenes first.
-			n := z
-			if plan.state == StateSlotPhase {
-				if wrap := plan.modulus - st + 1; n > wrap {
-					n = wrap
-				}
-			}
-			if left := cfg.Slots - t + 1; n > left {
-				n = left
-			}
-			eventsBefore := res.Events
-			var probe energy.SpanProbe
-			if tr != nil {
-				probe = battery.BeginSpan()
-			}
-			if plan.state == StateSinceEvent && nextEvent-t+1 <= n {
-				// The event resets h to 1 for the following slot, ending
-				// the run at the (slept-through) event slot itself.
-				n = nextEvent - t + 1
-				rech.FastForward(battery, n, rechargeSrc)
-				res.Events++
-				lastEvent = nextEvent
-				nextEvent += int64(cfg.Dist.Sample(eventSrc))
-			} else {
-				rech.FastForward(battery, n, rechargeSrc)
-				// SinceCapture and SlotPhase states ignore events, so any
-				// number of events may fall inside the run; drain them in
-				// arrival order to keep the event stream aligned.
-				end := t + n - 1
-				for nextEvent <= end {
-					res.Events++
-					lastEvent = nextEvent
-					nextEvent += int64(cfg.Dist.Sample(eventSrc))
-				}
-			}
-			if tr != nil {
-				sp := trace.Span{
-					Start:     t,
-					Len:       n,
-					Events:    res.Events - eventsBefore,
-					State:     uint8(plan.state),
-					Delivered: battery.EndSpan(probe),
-					Battery:   battery.Level(),
-				}
-				if trWriter != nil {
-					trWriter.Span(sp)
-				}
-				if trFlight != nil {
-					trFlight.Span(sp)
-				}
-			}
-			if m != nil {
-				// Every event inside a sleep run is a policy-scheduled
-				// miss: the sensor slept through it by construction.
-				m.KernelRuns++
-				m.KernelSlotsFastForwarded += n
-				m.MissAsleep += res.Events - eventsBefore
-			}
-			if sprobe != nil {
-				sprobe.ObserveMisses(res.Events - eventsBefore)
-			}
-			t += n
-			continue
-		}
-
-		// Awake slot: replicate the reference engine's slot exactly.
-		var amt float64
-		if isBern {
-			if rechargeSrc.Bernoulli(bernQ) {
-				amt = bernC
-				battery.Recharge(bernC)
-			}
-		} else {
-			amt = rech.Next(rechargeSrc)
-			battery.Recharge(amt)
-		}
-		event := t == nextEvent
-		p := table.At(int(st))
-		// Decision-time states and battery, captured before the slot
-		// mutates them, mirroring the reference engine's records.
-		var h, f int64
-		var preLvl float64
-		if tr != nil {
-			h = t - lastEvent
-			if partialH {
-				h = -1
-			}
-			f = t - lastCapture
-			preLvl = battery.Level()
-		}
-		captured, denied, active := false, false, false
-		if decisionSrc.Bernoulli(p) {
-			if !battery.CanConsume(cost) {
-				stats.Denied++
-				denied = true
-			} else {
-				active = true
-				battery.Consume(delta1)
-				stats.Activations++
-				if event {
-					battery.Consume(delta2)
-					stats.Captures++
-					res.Captures++
-					lastCapture = t
-					captured = true
-				}
-			}
-		}
-		if event {
-			res.Events++
-			lastEvent = t
-			nextEvent = t + int64(cfg.Dist.Sample(eventSrc))
-			if m != nil && !captured {
-				if denied {
-					m.MissNoEnergy++
-				} else {
-					m.MissAsleep++
-				}
-			}
-			if sprobe != nil {
-				sprobe.ObserveEvent(captured)
-			}
-			if tr != nil && !captured && denied {
-				tr.OutageMiss(t)
-			}
-		}
-		if tr != nil {
-			// Awake slots always decide with p > 0, so every one is
-			// decision-relevant regardless of Full().
-			var flags uint8
-			if event {
-				flags |= trace.FlagEvent
-			}
-			if active {
-				flags |= trace.FlagActive
-				if event {
-					flags |= trace.FlagCaptured
-				}
-			}
-			if denied {
-				flags |= trace.FlagDenied
-			}
-			if trWriter != nil {
-				rec := trace.Rec{
-					Slot:     t,
-					Sensor:   0,
-					Engine:   trace.EngineKernel,
-					Flags:    flags,
-					H:        int32(h),
-					F:        int32(f),
-					Prob:     p,
-					Battery:  preLvl,
-					Recharge: amt,
-				}
-				trWriter.Rec(rec)
-				if trFlight != nil {
-					trFlight.Record(&rec)
-				}
-			} else if trFlight != nil {
-				// Flight-only: fields go straight into the ring slot.
-				trFlight.RecordSlot(t, 0, trace.EngineKernel, flags,
-					int32(h), int32(f), p, preLvl, amt)
-			}
-		}
-		// End-of-slot battery sample on every stride-th awake slot,
-		// matching the per-slot engines' end-of-slot semantics.
-		sampleCountdown--
-		if sampleCountdown == 0 {
-			sampleCountdown = batterySampleStride
-			lvl := battery.Level()
-			if m != nil {
-				obsSlots++
-				fracSum += lvl * invCap
-				bin := int(lvl * binScale)
-				if bin >= batteryBins {
-					bin = batteryBins - 1
-				}
-				m.BatteryHist[bin]++
-				if lvl < costGate {
-					outage++
-				}
-			}
-			if sprobe != nil {
-				sprobe.ObserveBattery(lvl * invCap)
-			}
-		}
-		t++
-	}
-
-	stats.EnergyConsumed = battery.Consumed()
-	stats.OverflowLost = battery.OverflowLost()
-	stats.FinalBattery = battery.Level()
+	o.sample = o.m != nil || o.probe != nil
+	res.Events, res.Captures = w.simulate(&cfg, bp, 0, res.Sensors, o)
 	if res.Events > 0 {
 		res.QoM = float64(res.Captures) / float64(res.Events)
 	}
-	if tr != nil {
-		tr.RunEnd(trace.RunEnd{Events: res.Events, Captures: res.Captures})
-	}
 	recordEngine(res.Engine)
-	if m != nil {
-		m.ObservedSlots = obsSlots
-		m.BatteryFracSum = fracSum
-		m.EnergyOutageSlots = outage
-		// An activation on an event slot always captures, so wasted
-		// (no-event) activations are exactly activations − captures.
-		m.WastedActivations = stats.Activations - stats.Captures
-		m.publish(res)
+	if o.m != nil {
+		o.m.publish(res)
 	}
-	sprobe.finish(res)
+	o.probe.finish(res)
 	return res, nil
 }

@@ -189,7 +189,6 @@ func TestMultiKernelForcedRejectsIneligible(t *testing.T) {
 		{"mode-all-full-info", func(c *Config) { c.Mode = ModeAll }},
 		{"tracer", func(c *Config) { c.Tracer = trace.New(nil, trace.NewFlightRecorder(32)) }},
 		{"fault injection", func(c *Config) { c.FailAt = map[int]int64{1: 10} }},
-		{"timeline", func(c *Config) { c.SampleEvery = 100 }},
 		{"per-sensor policy mismatch", func(c *Config) {
 			c.Info = PartialInfo
 			c.NewPolicy = func(s int) Policy {

@@ -118,18 +118,6 @@ type SensorStats struct {
 	FinalBattery   float64
 }
 
-// TimelinePoint is a periodic snapshot of the run's progress.
-type TimelinePoint struct {
-	Slot int64
-	// QoM is the running capture probability through this slot.
-	QoM float64
-	// WindowQoM is the capture probability within the last sampling
-	// window only (for stationarity checks and batch-means CIs).
-	WindowQoM float64
-	// Battery is sensor 0's level at the snapshot.
-	Battery float64
-}
-
 // Result is the outcome of a simulation run.
 type Result struct {
 	Slots    int64
@@ -138,8 +126,6 @@ type Result struct {
 	// QoM is the capture probability U_K(π) of Eq. (1).
 	QoM     float64
 	Sensors []SensorStats
-	// Timeline holds periodic snapshots when Config.SampleEvery > 0.
-	Timeline []TimelinePoint
 	// Engine records the engine that actually executed the run (the
 	// reference engine or the compiled kernel) — under EngineAuto the
 	// caller cannot know otherwise.
@@ -209,7 +195,7 @@ type Config struct {
 	Info Info
 
 	// Workers bounds the worker pool of the independent-sensor fast path
-	// (ModeAll + PartialInfo + N > 1, no Trace, no SampleEvery), where
+	// (ModeAll + PartialInfo + N > 1, no Trace), where
 	// each sensor owns its own decision stream and evolves in isolation.
 	// 0 means one worker per CPU; 1 forces sequential execution. Results
 	// are identical for every value — the per-sensor decomposition, not
@@ -226,10 +212,6 @@ type Config struct {
 	// sensors keep their slot assignments in coordinated modes, which is
 	// exactly the fragility being measured.
 	FailAt map[int]int64
-
-	// SampleEvery, when positive, records a TimelinePoint every that
-	// many slots (running QoM, per-window QoM, battery level).
-	SampleEvery int64
 
 	// Metrics, when true, collects the per-run observability counters of
 	// the Metrics struct into Result.Metrics and folds them into the
@@ -252,11 +234,11 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// Engine selects the simulation engine. The default, EngineAuto, runs
-	// the compiled slot-skipping kernel whenever the configuration is
-	// eligible (single sensor, compilable stateless policy,
-	// fast-forwardable recharge, no trace/timeline/fault injection) and
-	// the reference engine otherwise. See kernel.go for the equivalence
-	// contract.
+	// the compiled slot-skipping loop of the configuration's fleet shape
+	// whenever it is eligible (compilable stateless policy,
+	// fast-forwardable recharge, no legacy Trace callback; see
+	// compileKernel and compileIndependent) and the reference engine
+	// otherwise. See runCompiled for the equivalence contract.
 	Engine Engine
 
 	// Batch, when > 1, simulates that many statistically independent
@@ -372,11 +354,10 @@ func (c *Config) inCharge(t int64) int {
 // decoupled from the others': under ModeAll + PartialInfo each sensor
 // sees only its own capture history, so once decision randomness is
 // per-sensor the simulations can run in any order (or concurrently).
-// Trace and SampleEvery need the interleaved per-slot view, so they stay
-// on the sequential engine.
+// The legacy Trace callback needs the interleaved per-slot view, so it
+// stays on the sequential engine.
 func (c *Config) independentSensors() bool {
-	return c.Mode == ModeAll && c.Info == PartialInfo && c.N > 1 &&
-		c.Trace == nil && c.SampleEvery == 0
+	return c.Mode == ModeAll && c.Info == PartialInfo && c.N > 1 && c.Trace == nil
 }
 
 // Run executes the simulation.
@@ -418,7 +399,7 @@ func Run(cfg Config) (*Result, error) {
 		plan, fb := compileKernel(&cfg)
 		if plan != nil {
 			csp.End()
-			return runKernel(cfg, plan)
+			return runCompiled(cfg, plan)
 		}
 		if cfg.independentSensors() {
 			ip, ifb := compileIndependent(&cfg)
@@ -437,7 +418,7 @@ func Run(cfg Config) (*Result, error) {
 		plan, fb := compileKernel(&cfg)
 		if plan != nil {
 			csp.End()
-			return runKernel(cfg, plan)
+			return runCompiled(cfg, plan)
 		}
 		if cfg.independentSensors() {
 			// Decoupled sensors get a second chance on the per-sensor
@@ -557,7 +538,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	actions := make([]bool, cfg.N)
-	var windowEvents, windowCaptures int64
 
 	// decide is hoisted out of the slot loop (a closure literal inside it
 	// would allocate every iteration); the per-slot variables it reads are
@@ -758,19 +738,6 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 			}
-			if cfg.SampleEvery > 0 && t%cfg.SampleEvery == 0 {
-				point := TimelinePoint{Slot: t, Battery: batteries[0].Level()}
-				if res.Events > 0 {
-					point.QoM = float64(res.Captures) / float64(res.Events)
-				}
-				wEvents := res.Events - windowEvents
-				wCaptures := res.Captures - windowCaptures
-				if wEvents > 0 {
-					point.WindowQoM = float64(wCaptures) / float64(wEvents)
-				}
-				windowEvents, windowCaptures = res.Events, res.Captures
-				res.Timeline = append(res.Timeline, point)
-			}
 		}
 		// Sample sensor 0's end-of-slot battery level once per full
 		// chunk (chunkEnd is stride-aligned except possibly the last,
@@ -834,13 +801,9 @@ func Run(cfg Config) (*Result, error) {
 // against themselves, not against a hypothetical shared-stream run.
 //
 // When plans is non-nil (compileIndependent succeeded) each sensor job
-// runs the compiled per-sensor loop — table lookups plus O(1) sleep-run
-// fast-forwards over its private capture clock — instead of interpreting
-// the policy slot by slot. The two loops consume each sensor's streams
-// identically (one recharge draw per live slot, one decision draw per
-// positive-probability slot), so for deterministic recharge the compiled
-// path is byte-identical to the interpreted one; under Bernoulli it is
-// equal in law, the standard FastForwarder clause.
+// runs the compiled per-sensor loop the batch engine's decoupled-fleet
+// worker also runs (indepSensorPlan.simulate) instead of interpreting the
+// policy slot by slot.
 func runIndependent(cfg Config, plans []indepSensorPlan) (*Result, error) {
 	ex := cfg.Span.Child("exec.independent")
 	defer ex.End()
@@ -930,119 +893,22 @@ func runIndependent(cfg Config, plans []indepSensorPlan) (*Result, error) {
 		}
 		m := out.m
 		if plans != nil {
-			// Compiled per-sensor fast path: the decision state is this
-			// sensor's own capture clock (or slot phase), so the
-			// single-sensor kernel's zero-run fast-forward applies
-			// verbatim. A failed sensor truncates its own loop at
-			// failSlot-1 — independent sensors share nothing, so the
-			// truncation is exact, and fault injection stays eligible.
+			// Compiled per-sensor loop. A failed sensor truncates its own
+			// loop at failSlot-1 — independent sensors share nothing, so
+			// the truncation is exact, and fault injection stays eligible.
 			sp := &plans[s]
 			sp.policy.Reset()
 			limit := cfg.Slots
 			if failSlot-1 < limit {
 				limit = failSlot - 1
 			}
-			bern, isBern := sp.recharge.(*energy.Bernoulli)
-			var bq, bc float64
-			if isBern {
-				bq, bc = bern.Q(), bern.C()
+			o := runObservers{m: m}
+			if s == 0 {
+				o.probe = probe
+				o.sample = m != nil || probe != nil
 			}
-			// Battery occupancy on the compiled path follows the kernel
-			// convention: sensor 0, every stride-th awake (non-skipped)
-			// slot.
-			sampleCountdown := int64(math.MaxInt64)
-			if (m != nil || probe != nil) && s == 0 {
-				sampleCountdown = batterySampleStride
-			}
-			lastCapture := int64(0)
-			ei := 0
-			t := int64(1)
-			for t <= limit {
-				var st int64
-				if sp.state == StateSinceCapture {
-					st = t - lastCapture
-				} else {
-					st = (t-1)%sp.modulus + 1
-				}
-				if z := sp.table.ZeroRunFrom(int(st)); z > 0 {
-					run := z
-					if sp.state == StateSlotPhase {
-						if wrap := sp.modulus - st + 1; run > wrap {
-							run = wrap
-						}
-					}
-					if left := limit - t + 1; run > left {
-						run = left
-					}
-					sp.recharge.FastForward(b, run, rSrc)
-					// Events slept through are misses for this sensor
-					// unless a peer catches them — the aggregation below
-					// decides from capturedAny, so just advance past.
-					end := t + run - 1
-					for ei < len(eventSlots) && eventSlots[ei] <= end {
-						ei++
-					}
-					if m != nil {
-						m.KernelRuns++
-						m.KernelSlotsFastForwarded += run
-					}
-					t += run
-					continue
-				}
-				if isBern {
-					if rSrc.Bernoulli(bq) {
-						b.Recharge(bc)
-					}
-				} else {
-					b.Recharge(sp.recharge.Next(rSrc))
-				}
-				event := ei < len(eventSlots) && eventSlots[ei] == t
-				p := sp.table.At(int(st))
-				// Awake slots have p > 0, so the decision draw below is
-				// always consumed — matching the interpreted loop's
-				// draw-per-positive-probability discipline.
-				if dSrc.Bernoulli(p) {
-					if !b.CanConsume(cost) {
-						out.stats.Denied++
-						if out.denied != nil && event {
-							out.denied[ei] = true
-						}
-					} else {
-						b.Consume(cfg.Params.Delta1)
-						out.stats.Activations++
-						if event {
-							b.Consume(cfg.Params.Delta2)
-							out.stats.Captures++
-							out.captured[ei] = true
-							lastCapture = t
-						}
-					}
-				}
-				if event {
-					ei++
-				}
-				sampleCountdown--
-				if sampleCountdown == 0 {
-					sampleCountdown = batterySampleStride
-					lvl := b.Level() * invCap
-					if m != nil {
-						m.observeBattery(lvl)
-						if !b.CanConsume(cost) {
-							m.EnergyOutageSlots++
-						}
-					}
-					if probe != nil {
-						probe.ObserveBattery(lvl)
-					}
-				}
-				t++
-			}
-			out.stats.EnergyConsumed = b.Consumed()
-			out.stats.OverflowLost = b.OverflowLost()
-			out.stats.FinalBattery = b.Level()
-			if m != nil {
-				m.WastedActivations = out.stats.Activations - out.stats.Captures
-			}
+			out.stats = sp.simulate(&cfg, sp.recharge, b, rSrc, dSrc,
+				indepEvents{slots: eventSlots, captured: out.captured, denied: out.denied}, limit, o)
 			return out, nil
 		}
 		recharge := cfg.NewRecharge()
@@ -1123,8 +989,7 @@ func runIndependent(cfg Config, plans []indepSensorPlan) (*Result, error) {
 				ei++
 			}
 			// Battery occupancy is defined on sensor 0's end-of-slot
-			// level, matching the sequential engine and
-			// TimelinePoint.Battery.
+			// level, matching the sequential engine.
 			if (m != nil || probe != nil) && s == 0 && t&(batterySampleStride-1) == 0 {
 				lvl := b.Level() * invCap
 				if m != nil {
