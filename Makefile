@@ -45,7 +45,8 @@ lint-baseline:
 # Short-budget fuzzing of the numeric contracts: binomial sampling vs
 # CDF inversion, policy serialization round-trips, the PI solver's
 # closed-form recovery tail vs the stepped f-chain, the O(1) recharge
-# closed form vs the sequential loop, the .evtrace reader vs its legacy
+# closed form vs the sequential loop, every recharge process's
+# FastForward vs its per-slot steps, the .evtrace reader vs its legacy
 # bufio oracle on corrupt and truncated streams, and the CLI spec
 # parsers (never panic, accept only usable values). Seed corpora live in
 # testdata/fuzz; CI runs this same budget per target.
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClusteringPolicyRoundTrip -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRecoveryTail -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRechargeN -fuzztime $(FUZZTIME) ./internal/energy
+	$(GO) test -run '^$$' -fuzz FuzzRechargeFastForward -fuzztime $(FUZZTIME) ./internal/energy
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseDist -fuzztime $(FUZZTIME) ./internal/cliutil
 	$(GO) test -run '^$$' -fuzz FuzzParseRecharge -fuzztime $(FUZZTIME) ./internal/cliutil

@@ -384,8 +384,16 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "energy     wasted activations=%d, outage slots=%d/%d observed, mean battery %.1f%% of K\n",
 			m.WastedActivations, m.EnergyOutageSlots, m.ObservedSlots, 100*m.MeanBatteryFrac())
 		if m.KernelRuns > 0 {
+			// The kernel counters sum over replications, so the share is
+			// of T slots per replication run.
+			reps := 1
+			if dec != nil {
+				reps = dec.Reps
+			} else if *batch > 1 {
+				reps = *batch
+			}
 			fmt.Fprintf(out, "kernel     %d sleep runs fast-forwarded %d slots (%.1f%% of T)\n",
-				m.KernelRuns, m.KernelSlotsFastForwarded, 100*float64(m.KernelSlotsFastForwarded)/float64(res.Slots))
+				m.KernelRuns, m.KernelSlotsFastForwarded, 100*float64(m.KernelSlotsFastForwarded)/(float64(reps)*float64(res.Slots)))
 		}
 	}
 	if tw != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -258,5 +260,48 @@ func TestSimulateEarlyStopFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-T", "1000", "-batch", "4", "-min-reps", "2"}, &sb); err == nil {
 		t.Fatal("-min-reps without -target-rel-hw accepted")
+	}
+}
+
+// TestKernelShareOfT: the kernel counters sum over replications, so the
+// fast-forwarded share must be taken of replications × T and can never
+// exceed 100%, whether the replication count comes from -batch or from
+// an early stop.
+func TestKernelShareOfT(t *testing.T) {
+	for _, extra := range [][]string{
+		nil,
+		{"-batch", "4"},
+		{"-batch", "16", "-target-rel-hw", "0.5"},
+	} {
+		args := append([]string{"-T", "50000", "-seed", "5", "-metrics"}, extra...)
+		var sb strings.Builder
+		if err := run(args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		reps := int64(1)
+		var runs, ff int64
+		var pct float64
+		found := false
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "batch ") {
+				if _, err := fmt.Sscanf(line, "batch      B=%d", &reps); err != nil {
+					t.Fatalf("%v: unparsable batch line %q: %v", extra, line, err)
+				}
+			}
+			var stopMax int64
+			if _, err := fmt.Sscanf(line, "stats      early stop at %d/%d", &reps, &stopMax); err == nil {
+				continue
+			}
+			if _, err := fmt.Sscanf(line, "kernel     %d sleep runs fast-forwarded %d slots (%g%% of T)", &runs, &ff, &pct); err == nil {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%v: no kernel line:\n%s", extra, sb.String())
+		}
+		want := 100 * float64(ff) / (float64(reps) * 50000)
+		if pct > 100 || math.Abs(pct-want) > 0.05 {
+			t.Errorf("%v: printed %.1f%% of T for %d slots over %d replications, want %.1f%%", extra, pct, ff, reps, want)
+		}
 	}
 }

@@ -2,6 +2,14 @@
 // finite energy bucket ("battery") of capacity K and the stochastic
 // recharge processes that refill it (paper Section III-A).
 //
+// Every recharge process can also fast-forward: Recharge.FastForward
+// applies n slots of recharge at once, so the simulation's compiled
+// engines skip a sleeping sensor's slots whatever the recharge law.
+// Constant and Periodic use the closed form Battery.RechargeN,
+// ClippedGaussian and OnOff step their per-slot draws (both bit-identical
+// to n sequential slots), and Bernoulli draws the delivery count from
+// Binomial(n, q) (equal in law).
+//
 // Levels are float64 so that fractional recharge rates such as the
 // paper's Uniform 0.5 units/slot are represented exactly enough; all
 // consumption amounts in the paper (δ1 = 1, δ2 = 6) are integral.

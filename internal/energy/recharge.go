@@ -9,44 +9,45 @@ import (
 )
 
 // Recharge produces the per-slot environmental energy e_t (paper Section
-// III-A: random with mean e, exact law unknown to the policy). A Recharge
-// may be stateful (e.g. Periodic); give each simulated sensor its own
-// instance. Implementations are not safe for concurrent use.
+// III-A: random with mean e, exact law unknown to the policy). Give each
+// simulated sensor its own instance; implementations are not safe for
+// concurrent use. A stateful process (Periodic's phase, OnOff's state)
+// must implement Reset, restoring its initial state, so the batch
+// engine can reuse one instance across replications; a process without
+// Reset is taken to be stateless and may be shared.
+//
+// FastForward applies n consecutive slots of recharge to a battery; the
+// compiled engines use it to skip zero-activation sleep runs. The
+// contract: afterwards the battery's externally visible totals (Level,
+// Received, OverflowLost) match n sequential Recharge(Next(src)) calls.
+// The match is bit for bit for deterministic processes (Constant,
+// Periodic, Bernoulli with q of 0 or 1) and for processes that step Next
+// once per slot (ClippedGaussian, OnOff), which also leave src exactly
+// where the n calls would. Bernoulli with q in (0,1) draws the delivery
+// count in one Binomial(n, q) sample instead, so it matches only in law
+// and consumes src differently. Equality in law is sound during a sleep
+// run because the level is monotone there: overflow depends only on the
+// delivered total, never on where inside the run the deliveries land.
+// Each sensor owns a dedicated recharge stream, so no other stream
+// shifts.
 type Recharge interface {
 	// Next returns the energy harvested in the coming slot.
 	Next(src *rng.Source) float64
+	// FastForward advances the process by n slots, recharging b.
+	FastForward(b *Battery, n int64, src *rng.Source)
 	// Mean returns the long-run average rate e.
 	Mean() float64
 	// Name identifies the process, e.g. "Bernoulli(q=0.5,c=1)".
 	Name() string
 }
 
-// FastForwarder is implemented by recharge processes that can apply n
-// consecutive slots of recharge to a battery without iterating the slots.
-// The simulation kernel uses it to skip zero-activation sleep runs.
-//
-// The contract: after FastForward(b, n, src) the battery's externally
-// visible totals (Level, Received, OverflowLost) must match n sequential
-// Recharge(Next(src)) calls — bit-identically for deterministic processes
-// (Constant, Periodic, and Bernoulli with q of 0 or 1), and equal in law
-// for stochastic ones. Equality in law is sound during a sleep run because
-// the level is monotone there: overflow depends only on the delivered
-// total, never on where inside the run the deliveries land. Stochastic
-// implementations may consume src differently than n Next calls would;
-// each sensor owns a dedicated recharge stream, so no other stream shifts.
-type FastForwarder interface {
-	Recharge
-	// FastForward advances the process by n slots, recharging b.
-	FastForward(b *Battery, n int64, src *rng.Source)
-}
-
-// FastForwardPreparer is optionally implemented by fast-forwardable
-// processes that benefit from precomputation. The kernel calls
-// PrepareFastForward once per run with the largest sleep-run length it
-// expects to batch, before any FastForward call; the hint only affects
+// FastForwardPreparer is optionally implemented by processes whose
+// FastForward benefits from precomputation. The compiled engines call
+// PrepareFastForward once per run with the largest sleep-run length they
+// expect to batch, before any FastForward call; the hint only affects
 // speed, never the sampled law.
 type FastForwardPreparer interface {
-	FastForwarder
+	Recharge
 	PrepareFastForward(maxN int)
 }
 
@@ -103,7 +104,7 @@ func (b *Bernoulli) PrepareFastForward(maxN int) {
 	}
 }
 
-// FastForward implements FastForwarder. The number of deliveries across n
+// FastForward implements Recharge. The number of deliveries across n
 // independent Bernoulli(q) slots is exactly Binomial(n, q), so one batch
 // draw replaces n per-slot draws; degenerate q needs no randomness at all.
 func (b *Bernoulli) FastForward(bat *Battery, n int64, src *rng.Source) {
@@ -178,9 +179,7 @@ func (p *Periodic) Name() string { return p.name }
 // Reset restores the initial phase, for reuse across simulation runs.
 func (p *Periodic) Reset() { p.phase = 0 }
 
-var _ FastForwarder = (*Periodic)(nil)
-
-// FastForward implements FastForwarder. Across n slots starting at the
+// FastForward implements Recharge. Across n slots starting at the
 // current phase the process delivers floor((phase+n)/period) times; the
 // intermediate zero-amount slots are no-ops on the battery, so delivering
 // the lump sums back-to-back reproduces the sequential run bit for bit.
@@ -224,9 +223,7 @@ func (c *Constant) Mean() float64 { return c.e }
 // Name implements Recharge.
 func (c *Constant) Name() string { return c.name }
 
-var _ FastForwarder = (*Constant)(nil)
-
-// FastForward implements FastForwarder.
+// FastForward implements Recharge.
 func (c *Constant) FastForward(b *Battery, n int64, _ *rng.Source) {
 	if n <= 0 {
 		return
@@ -285,6 +282,17 @@ func (g *ClippedGaussian) Mean() float64 { return g.mean }
 // Name implements Recharge.
 func (g *ClippedGaussian) Name() string { return g.name }
 
+// FastForward implements Recharge by stepping Next once per slot: the
+// same draws, in the same order, through the same Battery.Recharge
+// rounding as n sequential slots, so the result is bit-identical.
+// Summing the amounts into one Recharge call would reorder the float
+// additions and lose that.
+func (g *ClippedGaussian) FastForward(b *Battery, n int64, src *rng.Source) {
+	for ; n > 0; n-- {
+		b.Recharge(g.Next(src))
+	}
+}
+
 // OnOff is a bursty two-state (Gilbert) recharge process: in the on state
 // it delivers amount per slot, in the off state nothing; state flips with
 // the given probabilities. It models intermittent sources (cloud cover,
@@ -341,3 +349,12 @@ func (o *OnOff) Name() string { return o.name }
 
 // Reset restores the initial (on) state.
 func (o *OnOff) Reset() { o.on = true }
+
+// FastForward implements Recharge by stepping Next once per slot, which
+// keeps the state chain, the draws and the battery's float operations
+// bit-identical to n sequential slots (see ClippedGaussian.FastForward).
+func (o *OnOff) FastForward(b *Battery, n int64, src *rng.Source) {
+	for ; n > 0; n-- {
+		b.Recharge(o.Next(src))
+	}
+}

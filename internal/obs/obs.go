@@ -321,7 +321,6 @@ var (
 	SimFallbackFault    = NewCounter("sim.engine.fallback.fault")
 	SimFallbackPolicy   = NewCounter("sim.engine.fallback.policy")
 	SimFallbackInfo     = NewCounter("sim.engine.fallback.info")
-	SimFallbackRecharge = NewCounter("sim.engine.fallback.recharge")
 	SimFallbackTracer   = NewCounter("sim.engine.fallback.tracer")
 	SimFallbackMismatch = NewCounter("sim.engine.fallback.mismatch")
 

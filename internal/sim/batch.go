@@ -70,31 +70,17 @@ func (p *batchPlan) sensors() int {
 }
 
 // resettable matches per-run state that can be restored in place
-// (energy.Periodic's phase); stateless processes don't implement it.
+// (energy.Periodic's phase, energy.OnOff's state); stateless processes
+// don't implement it (the energy.Recharge contract).
 type resettable interface{ Reset() }
-
-// batchReusable reports whether a chunk worker may start replications on
-// rech as-is: either the process is stateless or its state resets.
-func batchReusable(rech energy.FastForwarder) bool {
-	if _, ok := rech.(resettable); ok {
-		return true
-	}
-	switch rech.(type) {
-	case *energy.Bernoulli, *energy.Constant:
-		return true
-	default:
-		return false
-	}
-}
 
 // compileBatch probes whether cfg (already validated) can run on the
 // batch engine. It returns the plan, or nil and the structural fallback
 // reason. Eligibility is the kernel's (or, for decoupled fleets, the
-// independent engine's) plus two batch-only conditions: no slot tracer
-// (the engine reports aggregates, never slot records), and recharge
-// processes whose per-run state — if any — can be reset between
-// replications. sp (nilable) is the caller's "compile" span; the
-// batch-table build gets its own child under it.
+// independent engine's) plus one batch-only condition: no slot tracer
+// (the engine reports aggregates, never slot records). sp (nilable) is
+// the caller's "compile" span; the batch-table build gets its own child
+// under it.
 func compileBatch(cfg *Config, sp *obs.Span) (*batchPlan, fallback) {
 	if cfg.Tracer != nil {
 		return nil, fallback{"tracer", "slot tracing requested"}
@@ -105,11 +91,6 @@ func compileBatch(cfg *Config, sp *obs.Span) (*batchPlan, fallback) {
 			return compileBatchIndependent(cfg, sp)
 		}
 		return nil, fb
-	}
-	for _, r := range kp.recharges {
-		if !batchReusable(r) {
-			return nil, fallback{"recharge", fmt.Sprintf("recharge %s carries per-run state without Reset", r.Name())}
-		}
 	}
 	tsp := sp.Child("batch.table")
 	plan := &batchPlan{kernel: kp, table: core.CompileBatch(kp.table)}
@@ -131,11 +112,6 @@ func compileBatchIndependent(cfg *Config, sp *obs.Span) (*batchPlan, fallback) {
 	plans, fb := compileIndependent(cfg)
 	if plans == nil {
 		return nil, fb
-	}
-	for s := range plans {
-		if !batchReusable(plans[s].recharge) {
-			return nil, fallback{"recharge", fmt.Sprintf("recharge %s carries per-run state without Reset", plans[s].recharge.Name())}
-		}
 	}
 	tsp := sp.Child("batch.table")
 	plan := &batchPlan{indep: plans}
@@ -290,19 +266,13 @@ func newBatchRunner(cfg *Config, plan *batchPlan, single bool) (batchRunner, err
 // single replication, a fresh prepared instance (reset before every
 // replication) otherwise — chunks run concurrently, so a stateful
 // process can never be shared.
-func workerRecharge(cfg *Config, shared energy.FastForwarder, single bool) (energy.FastForwarder, resettable, error) {
+func workerRecharge(cfg *Config, shared energy.Recharge, single bool) (energy.Recharge, resettable) {
 	if _, stateful := shared.(resettable); !stateful || single {
-		return shared, nil, nil
+		return shared, nil
 	}
-	fresh, ok := cfg.NewRecharge().(energy.FastForwarder)
-	if !ok {
-		return nil, nil, fmt.Errorf("sim: recharge factory stopped producing fast-forwardable processes")
-	}
-	if prep, ok := fresh.(energy.FastForwardPreparer); ok {
-		prep.PrepareFastForward(prepareRunLength)
-	}
+	fresh := newPreparedRecharge(cfg)
 	rst, _ := fresh.(resettable)
-	return fresh, rst, nil
+	return fresh, rst
 }
 
 // batchWorker is the single-sensor slot loop's state: RNG values
@@ -312,7 +282,7 @@ type batchWorker struct {
 	root, eventSrc, decisionSrc, rechargeSrc rng.Source
 
 	battery *energy.Battery
-	rech    energy.FastForwarder
+	rech    energy.Recharge
 	rechRst resettable // non-nil iff the worker owns a fresh stateful recharge
 
 	// single disables awake-run batching: a single run consumes its
@@ -332,10 +302,7 @@ func newBatchWorker(cfg *Config, plan *batchPlan, single bool) (*batchWorker, er
 		return nil, err
 	}
 	w.battery = b
-	w.rech, w.rechRst, err = workerRecharge(cfg, plan.kernel.recharges[0], single)
-	if err != nil {
-		return nil, err
-	}
+	w.rech, w.rechRst = workerRecharge(cfg, plan.kernel.recharges[0], single)
 	if bern, ok := w.rech.(*energy.Bernoulli); ok {
 		w.bern = bern
 		w.isBern = true

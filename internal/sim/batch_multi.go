@@ -33,7 +33,7 @@ import (
 //     positive, which is precisely the awake-slot condition here. Under
 //     Bernoulli recharge each sensor's sleep run collapses to one exact
 //     Binomial(n, q) draw and results agree in law (the
-//     energy.FastForwarder contract).
+//     energy.Recharge fast-forward contract).
 //
 //   - batchIndepWorker: decoupled ModeAll+PartialInfo fleets
 //     (plan.indep != nil). Replication r reproduces runIndependent at
@@ -51,7 +51,7 @@ type batchMultiWorker struct {
 
 	rechargeSrcs []rng.Source
 	batteries    []energy.Battery
-	rechs        []energy.FastForwarder
+	rechs        []energy.Recharge
 	rechRsts     []resettable
 
 	allBern      bool
@@ -68,7 +68,7 @@ func newBatchMultiWorker(cfg *Config, plan *batchPlan, single bool) (*batchMulti
 	w := &batchMultiWorker{
 		rechargeSrcs: make([]rng.Source, n),
 		batteries:    make([]energy.Battery, n),
-		rechs:        make([]energy.FastForwarder, n),
+		rechs:        make([]energy.Recharge, n),
 		rechRsts:     make([]resettable, n),
 		allBern:      true,
 		bernQ:        make([]float64, n),
@@ -83,10 +83,7 @@ func newBatchMultiWorker(cfg *Config, plan *batchPlan, single bool) (*batchMulti
 			return nil, err
 		}
 		w.batteries[s] = *b
-		rech, rst, err := workerRecharge(cfg, plan.kernel.recharges[s], single)
-		if err != nil {
-			return nil, err
-		}
+		rech, rst := workerRecharge(cfg, plan.kernel.recharges[s], single)
 		w.rechs[s], w.rechRsts[s] = rech, rst
 		if bern, ok := rech.(*energy.Bernoulli); ok {
 			w.bernQ[s], w.bernC[s] = bern.Q(), bern.C()
@@ -340,7 +337,7 @@ type batchIndepWorker struct {
 	rechargeSrcs []rng.Source
 	decisionSrcs []rng.Source
 	battery      *energy.Battery
-	rechs        []energy.FastForwarder
+	rechs        []energy.Recharge
 	rechRsts     []resettable
 
 	eventBuf    []int64
@@ -358,14 +355,11 @@ func newBatchIndepWorker(cfg *Config, plan *batchPlan) (*batchIndepWorker, error
 		rechargeSrcs: make([]rng.Source, n),
 		decisionSrcs: make([]rng.Source, n),
 		battery:      b,
-		rechs:        make([]energy.FastForwarder, n),
+		rechs:        make([]energy.Recharge, n),
 		rechRsts:     make([]resettable, n),
 	}
 	for s := 0; s < n; s++ {
-		w.rechs[s], w.rechRsts[s], err = workerRecharge(cfg, plan.indep[s].recharge, false)
-		if err != nil {
-			return nil, err
-		}
+		w.rechs[s], w.rechRsts[s] = workerRecharge(cfg, plan.indep[s].recharge, false)
 	}
 	return w, nil
 }

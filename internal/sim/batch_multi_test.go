@@ -70,13 +70,8 @@ func TestBatchMultiPerRepMatchesKernel(t *testing.T) {
 // through the same per-sensor streams).
 func TestBatchIndepPerRepMatchesIndependent(t *testing.T) {
 	const reps = 24
-	recharges := []struct {
-		name string
-		make func() energy.Recharge
-	}{
-		{"uniform-0.4", func() energy.Recharge { r, _ := energy.NewConstant(0.4); return r }},
-		{"bernoulli-0.4-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.4, 1); return r }},
-	}
+	recharges := append(exactRecharges(),
+		rechargeCase{"bernoulli-0.4-1", func() energy.Recharge { r, _ := energy.NewBernoulli(0.4, 1); return r }})
 	for _, rc := range recharges {
 		const n = 3
 		cfg := independentKernelConfig(t, rc.make, n, 7)
@@ -183,9 +178,6 @@ func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 			c.Info = PartialInfo
 			c.FailAt = map[int]int64{0: 10}
 		}},
-		{"non-fast-forward recharge", func(c *Config) {
-			c.NewRecharge = func() energy.Recharge { r, _ := energy.NewClippedGaussian(0.5, 0.1); return r }
-		}},
 	}
 	for _, tc := range cases {
 		cfg := multiKernelConfig(t, kernelCases(t)[0], newRech, 3, 100, 1)
@@ -199,6 +191,62 @@ func TestBatchMultiForcedRejectsIneligible(t *testing.T) {
 		cfg.Engine = EngineAuto
 		if _, err := Run(cfg); err != nil {
 			t.Errorf("%s: auto fallback failed: %v", tc.name, err)
+		}
+	}
+}
+
+// TestBatchMatchesReferenceExactRecharge closes the loop from the batch
+// engine to the oracle: under deterministic or per-slot stepped recharge,
+// replication r of a B=4 batch reproduces the reference engine at
+// Seed + r bit for bit, for the single sensor, the round-robin fleet and
+// the decoupled ModeAll+PartialInfo fleet.
+func TestBatchMatchesReferenceExactRecharge(t *testing.T) {
+	const reps = 4
+	kc := kernelCases(t)[0]
+	shapes := []struct {
+		name string
+		cfg  func(rc rechargeCase, seed uint64) Config
+	}{
+		{"single", func(rc rechargeCase, seed uint64) Config { return kernelBaseConfig(t, kc, rc.make, 100, seed) }},
+		{"round-robin", func(rc rechargeCase, seed uint64) Config { return multiKernelConfig(t, kc, rc.make, 3, 100, seed) }},
+		{"independent", func(rc rechargeCase, seed uint64) Config { return independentKernelConfig(t, rc.make, 3, seed) }},
+	}
+	for _, sh := range shapes {
+		for _, rc := range exactRecharges() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				cfg := sh.cfg(rc, seed)
+				cfg.Slots = 10_000
+				cfg.Engine = EngineBatch
+				cfg.Batch = reps
+				batch, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s seed=%d: batch: %v", sh.name, rc.name, seed, err)
+				}
+				n := cfg.N
+				if n == 0 {
+					n = 1
+				}
+				var events, captures int64
+				for r := 0; r < reps; r++ {
+					sub := sh.cfg(rc, seed+uint64(r))
+					sub.Slots = 10_000
+					sub.Engine = EngineReference
+					ref, err := Run(sub)
+					if err != nil {
+						t.Fatalf("%s/%s seed=%d replication %d: reference: %v", sh.name, rc.name, seed, r, err)
+					}
+					if !reflect.DeepEqual(batch.Sensors[r*n:(r+1)*n], ref.Sensors) {
+						t.Fatalf("%s/%s seed=%d replication %d diverged:\nbatch     %+v\nreference %+v",
+							sh.name, rc.name, seed, r, batch.Sensors[r*n:(r+1)*n], ref.Sensors)
+					}
+					events += ref.Events
+					captures += ref.Captures
+				}
+				if batch.Events != events || batch.Captures != captures {
+					t.Errorf("%s/%s seed=%d: batch totals %d/%d, reference sum %d/%d",
+						sh.name, rc.name, seed, batch.Events, batch.Captures, events, captures)
+				}
+			}
 		}
 	}
 }

@@ -308,9 +308,6 @@ func TestBatchForcedRejectsIneligible(t *testing.T) {
 			c.NewPolicy = func(int) Policy { return &EBCW{PYes: 0.9, PNo: 0.1} }
 		}},
 		{"vector-fi without full info", func(c *Config) { c.Info = PartialInfo }},
-		{"non-fast-forward recharge", func(c *Config) {
-			c.NewRecharge = func() energy.Recharge { r, _ := energy.NewClippedGaussian(0.5, 0.1); return r }
-		}},
 	}
 	for _, tc := range cases {
 		cfg := base()

@@ -19,7 +19,7 @@ type indepSensorPlan struct {
 	state    StateKind
 	modulus  int64
 	policy   Policy
-	recharge energy.FastForwarder
+	recharge energy.Recharge
 }
 
 // compileIndependent probes whether every sensor of an independent
@@ -53,20 +53,12 @@ func compileIndependent(cfg *Config) ([]indepSensorPlan, fallback) {
 		if cp.State == StateSlotPhase && cp.Modulus < 1 {
 			return nil, fallback{"policy", fmt.Sprintf("policy %s compiled with modulus %d", pol.Name(), cp.Modulus)}
 		}
-		rech := cfg.NewRecharge()
-		ff, ok := rech.(energy.FastForwarder)
-		if !ok {
-			return nil, fallback{"recharge", fmt.Sprintf("recharge %s cannot fast-forward", rech.Name())}
-		}
-		if prep, ok := rech.(energy.FastForwardPreparer); ok {
-			prep.PrepareFastForward(prepareRunLength)
-		}
 		plans[s] = indepSensorPlan{
 			table:    cp.Table,
 			state:    cp.State,
 			modulus:  int64(cp.Modulus),
 			policy:   pol,
-			recharge: ff,
+			recharge: newPreparedRecharge(cfg),
 		}
 	}
 	return plans, fallback{}
@@ -88,11 +80,11 @@ type indepEvents struct {
 // single-sensor zero-run fast-forward applies verbatim; the loop
 // consumes the streams exactly as runIndependent's interpreted loop does
 // (one recharge draw per live slot, one decision draw per
-// positive-probability slot), so under deterministic recharge the two
-// are byte-identical and under Bernoulli equal in law, the standard
-// FastForwarder clause. Battery samples (o.sample) follow the compiled
+// positive-probability slot), so under any recharge but Bernoulli the
+// two are byte-identical and under Bernoulli equal in law, the standard
+// energy.Recharge fast-forward clause. Battery samples (o.sample) follow the compiled
 // convention: every stride-th awake slot.
-func (sp *indepSensorPlan) simulate(cfg *Config, rech energy.FastForwarder, b *energy.Battery, rSrc, dSrc *rng.Source, ev indepEvents, limit int64, o runObservers) SensorStats {
+func (sp *indepSensorPlan) simulate(cfg *Config, rech energy.Recharge, b *energy.Battery, rSrc, dSrc *rng.Source, ev indepEvents, limit int64, o runObservers) SensorStats {
 	cost := cfg.Params.ActivationCost()
 	delta1, delta2 := cfg.Params.Delta1, cfg.Params.Delta2
 	invCap := 1 / cfg.BatteryCap

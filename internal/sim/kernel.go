@@ -102,6 +102,16 @@ type Compilable interface {
 // precomputed tables stay in cache.
 const prepareRunLength = 128
 
+// newPreparedRecharge builds one sensor's recharge process for a compiled
+// engine, preparing its fast-forward tables when it keeps any.
+func newPreparedRecharge(cfg *Config) energy.Recharge {
+	rech := cfg.NewRecharge()
+	if prep, ok := rech.(energy.FastForwardPreparer); ok {
+		prep.PrepareFastForward(prepareRunLength)
+	}
+	return rech
+}
+
 // fallback is a declined fast-engine dispatch: a fixed machine slug
 // keying one of the sim.engine.fallback.* counters, plus the
 // human-readable reason used in forced-engine errors. The slug set is
@@ -128,8 +138,6 @@ func (f fallback) record() {
 		obs.SimFallbackPolicy.Inc()
 	case "info":
 		obs.SimFallbackInfo.Inc()
-	case "recharge":
-		obs.SimFallbackRecharge.Inc()
 	case "tracer":
 		obs.SimFallbackTracer.Inc()
 	case "mismatch":
@@ -147,7 +155,7 @@ type kernelPlan struct {
 
 	n         int
 	policies  []Policy
-	recharges []energy.FastForwarder
+	recharges []energy.Recharge
 }
 
 // samePlan reports whether two compiled policies lowered to the same
@@ -219,7 +227,7 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 		modulus:   int64(cp.Modulus),
 		n:         cfg.N,
 		policies:  make([]Policy, cfg.N),
-		recharges: make([]energy.FastForwarder, cfg.N),
+		recharges: make([]energy.Recharge, cfg.N),
 	}
 	plan.policies[0] = pol
 	for s := 1; s < cfg.N; s++ {
@@ -238,15 +246,7 @@ func compileKernel(cfg *Config) (*kernelPlan, fallback) {
 		plan.policies[s] = ps
 	}
 	for s := 0; s < cfg.N; s++ {
-		rech := cfg.NewRecharge()
-		ff, ok := rech.(energy.FastForwarder)
-		if !ok {
-			return nil, fallback{"recharge", fmt.Sprintf("recharge %s cannot fast-forward", rech.Name())}
-		}
-		if prep, ok := rech.(energy.FastForwardPreparer); ok {
-			prep.PrepareFastForward(prepareRunLength)
-		}
-		plan.recharges[s] = ff
+		plan.recharges[s] = newPreparedRecharge(cfg)
 	}
 	return plan, fallback{}
 }
@@ -277,9 +277,11 @@ type runObservers struct {
 // the reference engine's RNG stream layout (event Split(1), decision
 // Split(2), recharge Split(100+s)) and its draw-consumption pattern —
 // zero-probability slots consume no decision draws in either engine — so
-// under deterministic recharge the Result is byte-identical to the
-// reference; under stochastic recharge sleep runs consume the recharge
-// stream in batches and results agree in law (see energy.FastForwarder).
+// under any recharge but Bernoulli (deterministic processes and the
+// per-slot stepped ClippedGaussian and OnOff) the Result is
+// byte-identical to the reference; under Bernoulli, sleep runs draw the
+// delivery count in one binomial sample and results agree in law (see
+// energy.Recharge).
 func runCompiled(cfg Config, plan *kernelPlan) (*Result, error) {
 	ex := cfg.Span.Child("exec.kernel")
 	defer ex.End()

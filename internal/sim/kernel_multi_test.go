@@ -23,21 +23,14 @@ func multiKernelConfig(t *testing.T, kc kernelCase, newRecharge func() energy.Re
 }
 
 // TestMultiKernelByteIdenticalDeterministicRecharge is the fleet version
-// of the kernel's core contract: under deterministic recharge every field
-// of Result — per-sensor counts, QoM, and the floating-point battery
-// totals — must match the reference engine bit for bit, for every
-// compilable policy shape, fleet sizes 2/4/8, and batteries both
-// comfortable and starved.
+// of the kernel's core contract: under deterministic or per-slot stepped
+// recharge every field of Result — per-sensor counts, QoM, and the
+// floating-point battery totals — must match the reference engine bit
+// for bit, for every compilable policy shape, fleet sizes 2/4/8, and
+// batteries both comfortable and starved.
 func TestMultiKernelByteIdenticalDeterministicRecharge(t *testing.T) {
-	recharges := []struct {
-		name string
-		make func() energy.Recharge
-	}{
-		{"uniform-0.5", func() energy.Recharge { r, _ := energy.NewConstant(0.5); return r }},
-		{"periodic-5-per-10", func() energy.Recharge { r, _ := energy.NewPeriodic(5, 10); return r }},
-	}
 	for _, kc := range kernelCases(t) {
-		for _, rc := range recharges {
+		for _, rc := range exactRecharges() {
 			for _, n := range []int{2, 4, 8} {
 				for _, batteryCap := range []float64{7, 100} {
 					for seed := uint64(1); seed <= 3; seed++ {
@@ -195,9 +188,6 @@ func TestMultiKernelForcedRejectsIneligible(t *testing.T) {
 				return &VectorPI{Vector: core.Vector{Prefix: []float64{0, 0.25 * float64(s+1)}, Tail: 1}}
 			}
 		}},
-		{"non-fast-forward recharge", func(c *Config) {
-			c.NewRecharge = func() energy.Recharge { r, _ := energy.NewClippedGaussian(0.5, 0.1); return r }
-		}},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -239,31 +229,33 @@ func independentKernelConfig(t *testing.T, newRecharge func() energy.Recharge, n
 }
 
 // TestIndependentKernelByteIdenticalInterpreted pins the decoupled-fleet
-// contract: under deterministic recharge the compiled per-sensor loop
-// must reproduce the interpreted independent engine bit for bit — same
-// stream layout, same draw consumption, same union aggregation.
+// contract: under deterministic or per-slot stepped recharge the
+// compiled per-sensor loop must reproduce the interpreted independent
+// engine bit for bit — same stream layout, same draw consumption, same
+// union aggregation.
 func TestIndependentKernelByteIdenticalInterpreted(t *testing.T) {
-	newRech := func() energy.Recharge { r, _ := energy.NewConstant(0.4); return r }
-	for _, n := range []int{2, 5} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			cfg := independentKernelConfig(t, newRech, n, seed)
+	for _, rc := range exactRecharges() {
+		for _, n := range []int{2, 5} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				cfg := independentKernelConfig(t, rc.make, n, seed)
 
-			cfg.Engine = EngineReference
-			want, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("N=%d seed=%d: reference: %v", n, seed, err)
-			}
-			cfg.Engine = EngineKernel
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("N=%d seed=%d: kernel: %v", n, seed, err)
-			}
-			if got.Engine != EngineKernel || want.Engine != EngineReference {
-				t.Fatalf("N=%d seed=%d: engines %v/%v, want kernel/reference", n, seed, got.Engine, want.Engine)
-			}
-			got.Engine = want.Engine
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("N=%d seed=%d:\ncompiled    %+v\ninterpreted %+v", n, seed, got, want)
+				cfg.Engine = EngineReference
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s N=%d seed=%d: reference: %v", rc.name, n, seed, err)
+				}
+				cfg.Engine = EngineKernel
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s N=%d seed=%d: kernel: %v", rc.name, n, seed, err)
+				}
+				if got.Engine != EngineKernel || want.Engine != EngineReference {
+					t.Fatalf("%s N=%d seed=%d: engines %v/%v, want kernel/reference", rc.name, n, seed, got.Engine, want.Engine)
+				}
+				got.Engine = want.Engine
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s N=%d seed=%d:\ncompiled    %+v\ninterpreted %+v", rc.name, n, seed, got, want)
+				}
 			}
 		}
 	}

@@ -235,10 +235,9 @@ type Config struct {
 
 	// Engine selects the simulation engine. The default, EngineAuto, runs
 	// the compiled slot-skipping loop of the configuration's fleet shape
-	// whenever it is eligible (compilable stateless policy,
-	// fast-forwardable recharge, no legacy Trace callback; see
-	// compileKernel and compileIndependent) and the reference engine
-	// otherwise. See runCompiled for the equivalence contract.
+	// whenever it is eligible (compilable stateless policy, no legacy
+	// Trace callback; see compileKernel and compileIndependent) and the
+	// reference engine otherwise. See runCompiled for the equivalence contract.
 	Engine Engine
 
 	// Batch, when > 1, simulates that many statistically independent

@@ -524,13 +524,15 @@ func (c ConvergenceMonitor) Converged(r Report) bool {
 // Pool combines per-run Reports into one pooled estimate for an
 // experiment series: exact pooled mean Σcaptures/Σevents, and a
 // half-width from the event-weighted per-run half-widths
-// (√Σ(eᵢ·hwᵢ)²/Σe — exact for independent runs). The zero value is
-// ready to use.
+// (√Σ(eᵢ·hwᵢ)²/Σe — exact for independent runs). The Report depends only
+// on the multiset of reports folded in, never on their order: concurrent
+// sweep points finish in any order, so Report sums the squares in sorted
+// order. The zero value is ready to use.
 type Pool struct {
 	runs     int64
 	events   int64
 	captures int64
-	wHW2     float64 // Σ (events_i · hw_i)²
+	wHW2     []float64 // (events_i · hw_i)² per run
 	of       string
 	noCI     bool // some run had no CI → pooled half-width unavailable
 }
@@ -544,7 +546,7 @@ func (p *Pool) Add(r Report) {
 		p.noCI = true
 	} else {
 		w := float64(r.Events) * r.HalfWidth
-		p.wHW2 += w * w
+		p.wHW2 = append(p.wHW2, w*w)
 	}
 	method := r.Method
 	if r.Method == MethodPooled {
@@ -576,7 +578,13 @@ func (p *Pool) Report(level float64) Report {
 	}
 	if p.runs > 0 && !p.noCI && p.events > 0 {
 		r.Level = level
-		r.HalfWidth = math.Sqrt(p.wHW2) / float64(p.events)
+		terms := append([]float64(nil), p.wHW2...)
+		sort.Float64s(terms)
+		var sum float64
+		for _, x := range terms {
+			sum += x
+		}
+		r.HalfWidth = math.Sqrt(sum) / float64(p.events)
 		if r.Mean > 0 {
 			r.RelHalfWidth = r.HalfWidth / r.Mean
 		}

@@ -365,3 +365,37 @@ func TestPool(t *testing.T) {
 		t.Fatalf("empty pool %+v", r)
 	}
 }
+
+// TestPoolOrderIndependent folds the same reports in shuffled orders, as
+// concurrent sweep points finishing in any order do, and requires a
+// bit-identical Report every time.
+func TestPoolOrderIndependent(t *testing.T) {
+	src := rng.New(11, 0)
+	reports := make([]Report, 40)
+	for i := range reports {
+		events := int64(1000 + src.Intn(1_000_000))
+		reports[i] = Report{
+			Method:    MethodBatchMeans,
+			Events:    events,
+			Captures:  events / 3,
+			Level:     0.95,
+			HalfWidth: math.Ldexp(1+src.Float64(), -src.Intn(30)),
+		}
+	}
+	fold := func(rs []Report) Report {
+		var p Pool
+		for _, r := range rs {
+			p.Add(r)
+		}
+		return p.Report(0.95)
+	}
+	want := fold(reports)
+	order := append([]Report(nil), reports...)
+	for k := 0; k < 200; k++ {
+		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if got := fold(order); got != want ||
+			math.Float64bits(got.HalfWidth) != math.Float64bits(want.HalfWidth) {
+			t.Fatalf("shuffle %d: pooled report %+v, want %+v", k, got, want)
+		}
+	}
+}
